@@ -51,10 +51,12 @@ func (e *Engine) acquire(st *txnState, obj core.ObjectID, mode lockMode) error {
 		return nil
 	}
 
-	// Block: enqueue and look for a deadlock.
+	// Block: enqueue and look for a deadlock. The new request's edges may
+	// close several cycles at once, and aborting one victim breaks only
+	// the cycle it sits on, so search again until none is left.
 	req := &request{txn: st.id, mode: mode, granted: make(chan struct{})}
 	entry.queue = append(entry.queue, req)
-	if victim := e.findDeadlockVictimLocked(st.id); victim != 0 {
+	for victim := e.findDeadlockVictimLocked(st.id); victim != 0; victim = e.findDeadlockVictimLocked(st.id) {
 		if victim == st.id {
 			e.removeRequestLocked(entry, req)
 			e.mu.Unlock()
@@ -243,15 +245,31 @@ func (e *Engine) abortWaiterLocked(victim core.TxnID) {
 // findDeadlockVictimLocked searches for a waits-for cycle reachable from
 // start and returns the youngest (largest-timestamp) transaction on it,
 // or 0 when there is no cycle. Edges run from each queued requester to
-// every current holder of the requested object.
+// every current holder of the requested object, and to every request
+// queued ahead of it.
+//
+// The fix for the lost upgrade deadlock is these queue-order edges, not
+// letting an upgrade jump the queue: grantQueueLocked grants strictly
+// from the head, so a queued request also waits on each request in
+// front of it. Without them, T1's S→X upgrade queued behind T2's X
+// request (which waits on T1's S) shows no cycle, and once every other
+// S holder leaves both wait forever. With them, grants and releases
+// never add an edge (a granted request's followers already pointed at
+// it), so every cycle closes when some request blocks, and acquire's
+// search loop at block time breaks it.
 func (e *Engine) findDeadlockVictimLocked(start core.TxnID) core.TxnID {
 	// Build the waits-for adjacency from the lock table.
 	edges := make(map[core.TxnID][]core.TxnID)
 	for _, entry := range e.locks {
-		for _, req := range entry.queue {
+		for i, req := range entry.queue {
 			for holder := range entry.holders {
 				if holder != req.txn {
 					edges[req.txn] = append(edges[req.txn], holder)
+				}
+			}
+			for _, ahead := range entry.queue[:i] {
+				if ahead.txn != req.txn {
+					edges[req.txn] = append(edges[req.txn], ahead.txn)
 				}
 			}
 		}

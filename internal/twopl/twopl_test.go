@@ -269,6 +269,69 @@ func TestUpgradeDeadlockBetweenTwoReaders(t *testing.T) {
 	}
 }
 
+// TestUpgradeBehindQueuedWriterPicksVictim is the lost-deadlock schedule:
+// T1 and T4 hold S, T2 queues X behind both, T1 queues its S→X upgrade
+// behind T2, and T4 leaves. T2 waits on T1's S lock while T1 waits
+// behind T2 in the FIFO queue, so the detector must choose a victim
+// instead of leaving both blocked.
+func TestUpgradeBehindQueuedWriterPicksVictim(t *testing.T) {
+	e, col := newTestEngine(t, 1)
+	t1 := begin(t, e, 10)
+	t2 := begin(t, e, 20)
+	t4 := begin(t, e, 40)
+	for _, txn := range []core.TxnID{t1, t4} {
+		if _, err := e.Read(txn, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for !cond() {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s never happened", what)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	done := map[core.TxnID]chan error{t1: make(chan error, 1), t2: make(chan error, 1)}
+	go func() { done[t2] <- e.Write(t2, 1, 2) }()
+	waitFor("T2 queueing X", func() bool { return col.Snapshot().Waits == 1 })
+	go func() { done[t1] <- e.Write(t1, 1, 1) }()
+	waitFor("T1 queueing its upgrade or being refused", func() bool {
+		s := col.Snapshot()
+		return s.Waits == 2 || s.AbortDeadlock > 0
+	})
+	if err := e.Commit(t4); err != nil {
+		t.Fatal(err)
+	}
+
+	victims, survivors := 0, []core.TxnID{}
+	for _, txn := range []core.TxnID{t1, t2} {
+		select {
+		case err := <-done[txn]:
+			if ae, ok := tso.IsAbort(err); ok && ae.Reason == metrics.AbortDeadlock {
+				victims++
+			} else if err != nil {
+				t.Fatalf("txn %d: %v", txn, err)
+			} else {
+				survivors = append(survivors, txn)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("txn %d still blocked: upgrade-behind-waiter deadlock went undetected", txn)
+		}
+	}
+	if victims != 1 || len(survivors) != 1 {
+		t.Fatalf("victims = %d, survivors = %v; want exactly one of each", victims, survivors)
+	}
+	if err := e.Commit(survivors[0]); err != nil {
+		t.Fatal(err)
+	}
+	if n := e.Live(); n != 0 {
+		t.Errorf("Live() = %d, want 0", n)
+	}
+}
+
 func TestUnknownTxnAndMissingObject(t *testing.T) {
 	e, _ := newTestEngine(t, 1)
 	if _, err := e.Read(core.TxnID(99), 1); !errors.Is(err, tso.ErrUnknownTxn) {
