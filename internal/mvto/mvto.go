@@ -261,18 +261,44 @@ func (e *Engine) write(txn core.TxnID, obj core.ObjectID, v core.Value, isDelta 
 			fmt.Errorf("mvto: object %d does not exist", obj))
 	}
 	o.mu.Lock()
-	prev := visibleVersion(o.versions, st.ts)
-	if prev == nil {
+	var prev *version
+	for {
+		prev = visibleVersion(o.versions, st.ts)
+		if prev == nil {
+			o.mu.Unlock()
+			return 0, e.abortNow(st, metrics.AbortLateWrite,
+				fmt.Errorf("mvto: predecessor version of object %d pruned", obj))
+		}
+		if read := prev.maxRead; read.After(st.ts) {
+			// A younger reader consumed the version we would overwrite.
+			o.mu.Unlock()
+			return 0, e.abortNow(st, metrics.AbortLateWrite,
+				fmt.Errorf("mvto: version of object %d read at %v, write at %v too late",
+					obj, read, st.ts))
+		}
+		if !isDelta || prev.committed || prev.writer == st.id {
+			break
+		}
+		// A delta reads its predecessor, so like Read it waits for an
+		// uncommitted one's outcome instead of building on a value its
+		// writer may still abort.
+		w := &waiter{ch: make(chan struct{}), parked: e.parker != nil}
+		prev.waiters = append(prev.waiters, w)
 		o.mu.Unlock()
-		return 0, e.abortNow(st, metrics.AbortLateWrite,
-			fmt.Errorf("mvto: predecessor version of object %d pruned", obj))
+		e.col.Waited()
+		if w.parked {
+			e.parker.Suspend()
+		}
+		<-w.ch
+		if _, err := e.lookup(txn); err != nil {
+			return 0, err
+		}
+		o.mu.Lock()
 	}
-	if prev.maxRead.After(st.ts) {
-		// A younger reader consumed the version we would overwrite.
-		o.mu.Unlock()
-		return 0, e.abortNow(st, metrics.AbortLateWrite,
-			fmt.Errorf("mvto: version of object %d read at %v, write at %v too late",
-				obj, prev.maxRead, st.ts))
+	if isDelta && st.ts.After(prev.maxRead) {
+		// Record the delta's read, so a write ordered between prev and us
+		// aborts instead of being silently overwritten.
+		prev.maxRead = st.ts
 	}
 	if prev.writer == st.id && !prev.committed && prev.wts == st.ts {
 		// Second write by the same attempt: overwrite in place.
