@@ -41,6 +41,9 @@ type Collector struct {
 
 	dirtySourceAborted atomic.Int64
 
+	readOnlyCommits atomic.Int64
+	readOnlyWaits   atomic.Int64
+
 	lat [NumLatencyKinds]Histogram
 
 	// walBatch is the distribution of group-commit batch sizes: how many
@@ -190,6 +193,19 @@ func (c *Collector) AddDirtySourceAborted(n int64) {
 	}
 }
 
+// ReadOnlyCommit records a commit the write-ahead log acknowledged
+// without appending a record; waited says it had to wait for the
+// versions it read to become durable.
+func (c *Collector) ReadOnlyCommit(waited bool) {
+	if c == nil {
+		return
+	}
+	c.readOnlyCommits.Add(1)
+	if waited {
+		c.readOnlyWaits.Add(1)
+	}
+}
+
 // ObserveLatency records one duration on the given engine path.
 func (c *Collector) ObserveLatency(k LatencyKind, d time.Duration) {
 	if c != nil && k < NumLatencyKinds {
@@ -252,6 +268,12 @@ type Snapshot struct {
 	Waits     int64
 
 	DirtySourceAborted int64
+
+	// ReadOnlyCommits counts commits the log acknowledged without a
+	// record; ReadOnlyWaits those among them that waited for durability.
+	// The wire Stats frame does not carry them.
+	ReadOnlyCommits int64
+	ReadOnlyWaits   int64
 }
 
 // Snapshot returns a copy of the current counter values. A nil Collector
@@ -279,6 +301,8 @@ func (c *Collector) Snapshot() Snapshot {
 		WastedOps:          c.wastedOps.Load(),
 		Waits:              c.waits.Load(),
 		DirtySourceAborted: c.dirtySourceAborted.Load(),
+		ReadOnlyCommits:    c.readOnlyCommits.Load(),
+		ReadOnlyWaits:      c.readOnlyWaits.Load(),
 	}
 }
 
@@ -352,5 +376,7 @@ func (s Snapshot) Sub(t Snapshot) Snapshot {
 		WastedOps:          s.WastedOps - t.WastedOps,
 		Waits:              s.Waits - t.Waits,
 		DirtySourceAborted: s.DirtySourceAborted - t.DirtySourceAborted,
+		ReadOnlyCommits:    s.ReadOnlyCommits - t.ReadOnlyCommits,
+		ReadOnlyWaits:      s.ReadOnlyWaits - t.ReadOnlyWaits,
 	}
 }

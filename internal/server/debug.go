@@ -81,6 +81,8 @@ func debugStats(e *tso.Engine) map[string]any {
 			"wasted_ops":           s.WastedOps,
 			"waits":                s.Waits,
 			"dirty_source_aborted": s.DirtySourceAborted,
+			"read_only_commits":    s.ReadOnlyCommits,
+			"read_only_waits":      s.ReadOnlyWaits,
 			"proper_misses":        e.Store().ProperMisses(),
 		},
 		"abort_breakdown": s.AbortBreakdown(),

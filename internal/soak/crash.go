@@ -105,6 +105,9 @@ type CrashReport struct {
 	// FinalImported/FinalExported are the recovered accumulated
 	// inconsistency after the last crash.
 	FinalImported, FinalExported core.Distance
+	// AckedQueryReads counts the committed versions read by acknowledged
+	// queries; every recovery checks each of them survived.
+	AckedQueryReads int64
 
 	violations []string
 }
@@ -113,10 +116,10 @@ type CrashReport struct {
 func (r *CrashReport) String() string {
 	return fmt.Sprintf(
 		"crash soak: %d cycles (%d clean, %d dirty kills); %d commits acked, %d attempts, %d lost-durability\n"+
-			"recovery: %d tail commits replayed, %d torn tails discarded; %d cycles certified by the oracle\n"+
+			"recovery: %d tail commits replayed, %d torn tails discarded; %d cycles certified by the oracle; %d acknowledged query reads survived\n"+
 			"final total %d (start %d), inconsistency %d/%d",
 		r.Cycles, r.CleanKills, r.DirtyKills, r.Committed, r.Attempts, r.DurabilityLost,
-		r.ReplayedCommits, r.TornTails, r.CertifiedCycles,
+		r.ReplayedCommits, r.TornTails, r.CertifiedCycles, r.AckedQueryReads,
 		r.FinalTotal, r.InitialTotal, r.FinalImported, r.FinalExported)
 }
 
@@ -152,6 +155,7 @@ func RunCrash(cfg CrashConfig) (*CrashReport, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	report := &CrashReport{InitialTotal: core.Value(cfg.Accounts) * cfg.InitialBalance}
 	counts := &crashCounters{}
+	reads := newReadLedger()
 	clock := &tsgen.LogicalClock{}
 	storeCfg := storage.Config{HistoryDepth: cfg.HistoryDepth}
 	walOpts := wal.Options{SyncInterval: cfg.SyncInterval, SnapshotEvery: cfg.SnapshotEvery, Collector: &metrics.Collector{}, Logf: logf}
@@ -178,6 +182,7 @@ func RunCrash(cfg CrashConfig) (*CrashReport, error) {
 			}
 		} else {
 			checkRecovered(cfg, report, store, cycle, cleanCapture, prevImported, prevExported)
+			reads.check(report, store, cycle)
 		}
 		prevImported, prevExported = store.CommittedInconsistency()
 
@@ -191,15 +196,17 @@ func RunCrash(cfg CrashConfig) (*CrashReport, error) {
 		}
 		clock.Set(maxTicks + 1)
 
-		engineOpts := tso.Options{Collector: &metrics.Collector{}, Durability: l}
 		var rec *history.Recorder
+		var certify tso.Tracer
 		if cfg.Certify {
 			rec = history.NewRecorder()
 			for _, ev := range recoveryEvents(store) {
 				rec.Trace(ev)
 			}
-			engineOpts.Tracer = rec
+			certify = rec
 		}
+		reads.startCycle(certify)
+		engineOpts := tso.Options{Collector: &metrics.Collector{}, Durability: l, Tracer: reads}
 		engine := tso.NewEngine(store, engineOpts)
 		dirty := cfg.DirtyEvery > 0 && (cycle+1)%cfg.DirtyEvery == 0
 
@@ -209,7 +216,7 @@ func RunCrash(cfg CrashConfig) (*CrashReport, error) {
 			wg.Add(1)
 			go func(site int, seed int64) {
 				defer wg.Done()
-				crashWorker(cfg, engine, clock, site, seed, counts, &stop)
+				crashWorker(cfg, engine, clock, site, seed, counts, reads, &stop)
 			}(cycle*cfg.Workers+w+1, cfg.Seed+int64(cycle*1_000+w)*7919)
 		}
 		var killerDone chan struct{}
@@ -272,6 +279,7 @@ func RunCrash(cfg CrashConfig) (*CrashReport, error) {
 		return report, fmt.Errorf("soak: final replay: %w", err)
 	}
 	checkRecovered(cfg, report, store, cfg.Cycles, cleanCapture, prevImported, prevExported)
+	reads.check(report, store, cfg.Cycles)
 	again, _, err := wal.Replay(fs, storeCfg)
 	if err != nil {
 		return report, fmt.Errorf("soak: final replay (2nd): %w", err)
@@ -288,6 +296,7 @@ func RunCrash(cfg CrashConfig) (*CrashReport, error) {
 	report.Committed = counts.committed.Load()
 	report.Attempts = counts.attempts.Load()
 	report.DurabilityLost = counts.lost.Load()
+	report.AckedQueryReads = reads.ackedReads
 
 	_, err = wal.Scan(fs, func(rec wal.Record) error {
 		if rec.Type != wal.RecordCommit {
@@ -377,10 +386,96 @@ func recoveryEvents(store *storage.Store) []tso.Event {
 	return evs
 }
 
+// readLedger records, from the engine's trace, the committed versions
+// each query reads, and keeps for each object the newest version an
+// acknowledged query read. Acknowledging a query promises that what it
+// saw is durable, so every later recovery must hold that version or a
+// newer one — the guarantee a read-only commit keeps by waiting for its
+// read horizon instead of for a record of its own.
+type readLedger struct {
+	mu         sync.Mutex
+	next       tso.Tracer // the cycle's certifying recorder, if any
+	open       map[core.TxnID][]readVersion
+	acked      map[core.ObjectID]tsgen.Timestamp
+	ackedReads int64
+}
+
+type readVersion struct {
+	obj     core.ObjectID
+	version tsgen.Timestamp
+}
+
+func newReadLedger() *readLedger {
+	return &readLedger{acked: make(map[core.ObjectID]tsgen.Timestamp)}
+}
+
+// startCycle forgets the reads of queries the last crash left unresolved
+// and forwards the new cycle's events to next (nil for none).
+func (r *readLedger) startCycle(next tso.Tracer) {
+	r.mu.Lock()
+	r.open = make(map[core.TxnID][]readVersion)
+	r.next = next
+	r.mu.Unlock()
+}
+
+// Trace implements tso.Tracer. Reads of uncommitted data are skipped: the
+// version may never commit, and such a read makes the engine wait for
+// everything appended instead.
+func (r *readLedger) Trace(ev tso.Event) {
+	r.mu.Lock()
+	switch {
+	case ev.Kind == tso.EvRead && ev.TxnKind == core.Query && !ev.DirtyRead:
+		r.open[ev.Txn] = append(r.open[ev.Txn], readVersion{ev.Object, ev.Version})
+	case ev.Kind == tso.EvAbort:
+		delete(r.open, ev.Txn)
+	}
+	next := r.next
+	r.mu.Unlock()
+	if next != nil {
+		next.Trace(ev)
+	}
+}
+
+// acknowledged records that txn's commit returned without error.
+func (r *readLedger) acknowledged(txn core.TxnID) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, rv := range r.open[txn] {
+		if rv.version.After(r.acked[rv.obj]) {
+			r.acked[rv.obj] = rv.version
+		}
+		r.ackedReads++
+	}
+	delete(r.open, txn)
+}
+
+// check asserts that a recovered store still holds every version an
+// acknowledged query read. Writes to an object are strictly increasing in
+// timestamp and logged in that order, so a recovered write timestamp at
+// least as new as the version means the version's record survived.
+func (r *readLedger) check(report *CrashReport, store *storage.Store, cycle int) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for obj, version := range r.acked {
+		o, err := store.Get(obj)
+		if err != nil {
+			report.violate("cycle %d: an acknowledged query read object %d, which recovery lost", cycle, obj)
+			continue
+		}
+		o.Lock()
+		recovered := o.CommittedTS()
+		o.Unlock()
+		if recovered.Before(version) {
+			report.violate("cycle %d: an acknowledged query read version %v of object %d, but recovery brought back only %v",
+				cycle, version, obj, recovered)
+		}
+	}
+}
+
 // crashWorker drives transfers and audit queries directly against the
 // engine, retrying aborts, until its quota is done or the log dies
 // under it.
-func crashWorker(cfg CrashConfig, engine *tso.Engine, clock tsgen.Clock, site int, seed int64, counts *crashCounters, stop *atomic.Bool) {
+func crashWorker(cfg CrashConfig, engine *tso.Engine, clock tsgen.Clock, site int, seed int64, counts *crashCounters, reads *readLedger, stop *atomic.Bool) {
 	rng := rand.New(rand.NewSource(seed))
 	gen := tsgen.NewGenerator(site&tsgen.MaxSite, clock)
 	for i := 0; i < cfg.TxnsPerWorker; i++ {
@@ -389,7 +484,7 @@ func crashWorker(cfg CrashConfig, engine *tso.Engine, clock tsgen.Clock, site in
 		}
 		var err error
 		if rng.Float64() < cfg.QueryFraction {
-			err = runCrashQuery(cfg, engine, gen, rng, counts)
+			err = runCrashQuery(cfg, engine, gen, rng, counts, reads)
 		} else {
 			err = runCrashTransfer(cfg, engine, gen, rng, counts)
 		}
@@ -440,7 +535,7 @@ func runCrashTransfer(cfg CrashConfig, engine *tso.Engine, gen *tsgen.Generator,
 }
 
 // runCrashQuery audits a random clutch of accounts under TIL.
-func runCrashQuery(cfg CrashConfig, engine *tso.Engine, gen *tsgen.Generator, rng *rand.Rand, counts *crashCounters) error {
+func runCrashQuery(cfg CrashConfig, engine *tso.Engine, gen *tsgen.Generator, rng *rand.Rand, counts *crashCounters, reads *readLedger) error {
 	n := 3 + rng.Intn(5)
 	for attempt := 0; ; attempt++ {
 		counts.attempts.Add(1)
@@ -455,6 +550,7 @@ func runCrashQuery(cfg CrashConfig, engine *tso.Engine, gen *tsgen.Generator, rn
 			err = engine.Commit(txn)
 		}
 		if err == nil {
+			reads.acknowledged(txn)
 			counts.committed.Add(1)
 			return nil
 		}

@@ -27,6 +27,9 @@ func TestCrashSoakDefault(t *testing.T) {
 	if report.CleanKills == 0 || report.DirtyKills == 0 {
 		t.Fatalf("schedule did not mix kills: %d clean, %d dirty", report.CleanKills, report.DirtyKills)
 	}
+	if report.AckedQueryReads == 0 {
+		t.Fatal("no acknowledged query reads: the survival check of what queries saw never ran")
+	}
 }
 
 // TestCrashSoakAllDirty hammers the torn-tail path: every cycle is a

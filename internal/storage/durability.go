@@ -25,6 +25,10 @@ type CommittedWrite struct {
 // TxnCommit is the durable payload of one commit: the write set plus the
 // transaction's final accumulated import/export inconsistency, so replay
 // rebuilds the epsilon accounting exactly, not just the data.
+//
+// A commit with no writes and zero imported/exported is read-only: it
+// changes nothing replay rebuilds, so the log appends no record for it
+// and only waits until ReadHorizon is durable.
 type TxnCommit struct {
 	Txn      core.TxnID
 	Kind     core.Kind
@@ -32,6 +36,45 @@ type TxnCommit struct {
 	Imported core.Distance
 	Exported core.Distance
 	Writes   []CommittedWrite
+
+	// LSN is the log position assigned to the record. The durability
+	// layer sets it before running publish, so publish can stamp it on the
+	// versions it makes visible (Object.SetCommitLSN). It stays zero for a
+	// read-only commit, which consumes no LSN.
+	LSN uint64
+	// ReadHorizon bounds what a read-only commit waits for. It is not
+	// persisted.
+	ReadHorizon ReadHorizon
+}
+
+// ReadOnly reports whether the commit changes no durable state: no
+// writes and no inconsistency to fold into the replayed accounting.
+func (c *TxnCommit) ReadOnly() bool {
+	return len(c.Writes) == 0 && c.Imported == 0 && c.Exported == 0
+}
+
+// ReadHorizon is the highest commit LSN among the versions a transaction
+// read. A read-only commit is acknowledged once that LSN is durable.
+//
+// The zero value means unknown: the commit then waits for everything
+// appended so far, which covers every version it could have read. Engines
+// that do not track their reads (twopl, mvto) leave it zero and get that
+// barrier, never a free pass.
+type ReadHorizon struct {
+	// LSN is the highest Object.CommitLSN among the versions read. It is
+	// zero when every version read predates the log (recovered from it,
+	// or created durably), which leaves nothing to wait for.
+	LSN uint64
+	// Known reports that LSN covers every version read. A read of
+	// uncommitted data clears it, since that version has no LSN yet.
+	Known bool
+}
+
+// Fold widens the horizon to cover a committed version stamped lsn.
+func (h *ReadHorizon) Fold(lsn uint64) {
+	if lsn > h.LSN {
+		h.LSN = lsn
+	}
 }
 
 // Ack is the durability ticket a logged commit waits on: Wait blocks

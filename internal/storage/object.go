@@ -66,6 +66,12 @@ type Object struct {
 	// writeTS is the timestamp of the write that produced value.
 	writeTS tsgen.Timestamp
 
+	// commitLSN is the log position of the record that committed the
+	// committed version: zero when that version predates the log, and
+	// lsnPending while the object's durable creation is in flight.
+	// Readers fold it into their ReadHorizon.
+	commitLSN uint64
+
 	// dirty marks an uncommitted write; dirtyOwner is its transaction.
 	dirty      bool
 	dirtyOwner core.TxnID
@@ -178,6 +184,16 @@ func (o *Object) SetLimits(oil, oel core.Distance) {
 	o.oil = oil
 	o.oel = oel
 }
+
+// CommitLSN returns the log position of the record that committed the
+// committed version (see ReadHorizon).
+func (o *Object) CommitLSN() uint64 { return o.commitLSN }
+
+// SetCommitLSN stamps the committed version with the log position of its
+// commit record. Engines call it right after CommitWrite, inside the
+// durability publish callback, so a reader never sees the version
+// without its stamp.
+func (o *Object) SetCommitLSN(lsn uint64) { o.commitLSN = lsn }
 
 // WriteTS returns the timestamp of the write that produced the present
 // value (committed or dirty).

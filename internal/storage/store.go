@@ -62,23 +62,38 @@ func (s *Store) Create(id core.ObjectID, initial core.Value) (*Object, error) {
 // object a logged commit writes to.
 func (s *Store) CreateWithLimits(id core.ObjectID, initial core.Value, oil, oel core.Distance) (*Object, error) {
 	if s.dur == nil {
-		return s.insert(id, initial, oil, oel)
+		return s.insert(id, initial, oil, oel, 0)
 	}
 	var o *Object
 	err := s.dur.LogCreate(id, initial, oil, oel, func() error {
 		var ierr error
-		o, ierr = s.insert(id, initial, oil, oel)
+		o, ierr = s.insert(id, initial, oil, oel, lsnPending)
 		return ierr
 	})
 	if err != nil {
 		return nil, err
 	}
+	// The create record is durable: the initial version now predates the
+	// log for every reader, unless a commit has already replaced it.
+	o.Lock()
+	if o.commitLSN == lsnPending {
+		o.commitLSN = 0
+	}
+	o.Unlock()
 	return o, nil
 }
 
-// insert builds the object and adds it under the store mutex.
-func (s *Store) insert(id core.ObjectID, initial core.Value, oil, oel core.Distance) (*Object, error) {
+// lsnPending stamps an object whose create record is not yet durable. The
+// object is visible from the moment LogCreate's apply inserts it, before
+// the record has an LSN, so a reader folds this maximum into its horizon
+// and waits for the next flush, which covers the create.
+const lsnPending = ^uint64(0)
+
+// insert builds the object, stamped commitLSN, and adds it under the
+// store mutex.
+func (s *Store) insert(id core.ObjectID, initial core.Value, oil, oel core.Distance, commitLSN uint64) (*Object, error) {
 	o := NewObject(id, initial, oil, oel, s.cfg.HistoryDepth)
+	o.commitLSN = commitLSN
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, dup := s.objects[id]; dup {

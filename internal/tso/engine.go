@@ -129,6 +129,9 @@ type txnState struct {
 	esr bool
 	// reads are the objects carrying this attempt's reader entries.
 	reads []*storage.Object
+	// horizon covers every committed version the attempt read, so a
+	// durable read-only commit waits exactly until those are durable.
+	horizon storage.ReadHorizon
 	// writes are the objects carrying this attempt's pending writes.
 	writes []*storage.Object
 	// opsExecuted counts successfully executed operations, which become
@@ -191,6 +194,7 @@ func (e *Engine) Begin(kind core.Kind, ts tsgen.Timestamp, spec core.BoundSpec) 
 		ts:        ts,
 		rootLimit: spec.Transaction,
 		esr:       spec.Transaction > 0,
+		horizon:   storage.ReadHorizon{Known: true},
 	}
 	if err := st.acc.Init(e.opts.Schema, spec, kind == core.Query); err != nil {
 		return 0, err
@@ -226,7 +230,9 @@ func (e *Engine) remove(txn core.TxnID) (*txnState, bool) {
 // writes published under the log's mutex, then Commit waits for the
 // group-commit fsync after all object locks are released. A log append
 // failure still publishes — in-memory waiters must not strand — but the
-// caller gets a *DurabilityError: committed, not durable.
+// caller gets a *DurabilityError: committed, not durable. A read-only
+// commit appends nothing and waits only until the versions it read are
+// durable (storage.ReadHorizon).
 func (e *Engine) Commit(txn core.TxnID) error {
 	start := e.opts.Now()
 	st, ok := e.remove(txn)
@@ -245,7 +251,8 @@ func (e *Engine) Commit(txn core.TxnID) error {
 	var durAck storage.Ack
 	var durErr error
 	if d := e.opts.Durability; d != nil {
-		rec := &storage.TxnCommit{Txn: st.id, Kind: st.kind, TS: st.ts, Imported: imported, Exported: exported}
+		rec := &storage.TxnCommit{Txn: st.id, Kind: st.kind, TS: st.ts, Imported: imported, Exported: exported,
+			ReadHorizon: st.horizon}
 		if len(st.writes) > 0 {
 			rec.Writes = make([]storage.CommittedWrite, 0, len(st.writes))
 			for _, o := range st.writes {
@@ -258,12 +265,12 @@ func (e *Engine) Commit(txn core.TxnID) error {
 				o.Unlock()
 			}
 		}
-		durAck, durErr = d.LogCommit(rec, func() { e.publishCommit(st, imported, exported) })
+		durAck, durErr = d.LogCommit(rec, func() { e.publishCommit(st, rec.LSN, imported, exported) })
 		if durErr != nil {
-			e.publishCommit(st, imported, exported)
+			e.publishCommit(st, 0, imported, exported)
 		}
 	} else {
-		e.publishCommit(st, imported, exported)
+		e.publishCommit(st, 0, imported, exported)
 	}
 	for _, o := range st.reads {
 		o.Lock()
@@ -284,14 +291,16 @@ func (e *Engine) Commit(txn core.TxnID) error {
 	return nil
 }
 
-// publishCommit makes the attempt's writes visible and folds its final
-// inconsistency into the store's accumulated totals. With durability on
-// it runs inside the log's append mutex (see Durability), so snapshots
-// capture totals prefix-consistent with the log.
-func (e *Engine) publishCommit(st *txnState, imported, exported core.Distance) {
+// publishCommit makes the attempt's writes visible, stamped with the
+// commit record's lsn, and folds its final inconsistency into the
+// store's accumulated totals. With durability on it runs inside the
+// log's append mutex (see Durability), so snapshots capture totals
+// prefix-consistent with the log.
+func (e *Engine) publishCommit(st *txnState, lsn uint64, imported, exported core.Distance) {
 	for _, o := range st.writes {
 		o.Lock()
 		o.CommitWrite(st.id)
+		o.SetCommitLSN(lsn)
 		o.Unlock()
 	}
 	e.store.AddCommittedInconsistency(imported, exported)

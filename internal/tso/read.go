@@ -76,6 +76,7 @@ func (e *Engine) readUpdate(st *txnState, o *storage.Object) (core.Value, error)
 			}
 			v := o.CommittedValue()
 			o.RecordRead(st.ts, false)
+			st.horizon.Fold(o.CommitLSN())
 			e.trace(Event{Kind: EvRead, Txn: st.id, TxnKind: st.kind, TS: st.ts,
 				Object: o.ID(), Value: v, Version: cts, Limit: o.OIL()})
 			o.Unlock()
@@ -176,7 +177,12 @@ func (e *Engine) finishQueryRead(st *txnState, o *storage.Object, value, proper 
 	st.reads = append(st.reads, o)
 	var version = o.CommittedTS()
 	if dirtyRead {
+		// Uncommitted data has no log position yet: fall back to waiting
+		// for everything appended by commit time.
 		version = o.WriteTS()
+		st.horizon.Known = false
+	} else {
+		st.horizon.Fold(o.CommitLSN())
 	}
 	e.trace(Event{Kind: EvRead, Txn: st.id, TxnKind: st.kind, TS: st.ts,
 		Object: o.ID(), Value: value, Version: version, Inconsistency: d,

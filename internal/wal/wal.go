@@ -19,11 +19,16 @@
 // order — a transaction that read another's committed write always
 // appears later in the log — and a snapshot captured under the same
 // mutex corresponds exactly to a log prefix [.., LSN].
+//
+// Read-only commits (storage.TxnCommit.ReadOnly) append nothing: they
+// consume no LSN and wait only until their read horizon is durable —
+// not at all when it already is.
 package wal
 
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/epsilondb/epsilondb/internal/core"
@@ -98,10 +103,22 @@ type Log struct {
 	scratch   []byte // payload staging, reused per append
 	pending   []*ack // acks awaiting the next flush
 	pendSpare []*ack
-	nextLSN   uint64
-	sinceSnap int
-	closed    bool
-	err       error // sticky: first sync failure poisons the log
+	// inflight holds the acks of the batch the committer is writing and
+	// inflightLSN the highest LSN in it. A read-only commit whose horizon
+	// that batch covers joins it rather than waiting for the next one.
+	inflight    []*ack
+	inflightLSN uint64
+	nextLSN     uint64
+	records     int // records in the pending batch
+	sinceSnap   int // records appended since the last snapshot
+	closed      bool
+	err         error // sticky: first sync failure poisons the log
+
+	// durable is the highest LSN known synced, and down is set once the
+	// log is closed, killed or poisoned. The read-only fast path reads
+	// both without mu: writeSnapshot holds mu across CaptureState.
+	durable atomic.Uint64
+	down    atomic.Bool
 
 	// Committer-owned segment state. seg/segSeq/segBytes need no mu
 	// (single goroutine after startup); segNames and snapLSN are also
@@ -177,6 +194,8 @@ func newLog(fs FS, source *storage.Store, info RecoveryInfo, opts Options) (*Log
 		killCh:   make(chan struct{}),
 		done:     make(chan struct{}),
 	}
+	// Everything recovery read back from the segments is on disk.
+	l.durable.Store(nextLSN - 1)
 	// The committer is not running yet, so rolling here is single-
 	// threaded; every pre-existing segment stays listed for truncation
 	// by the next snapshot.
@@ -189,10 +208,15 @@ func newLog(fs FS, source *storage.Store, info RecoveryInfo, opts Options) (*Log
 
 // LogCommit implements storage.Durability: the record is framed into the
 // pending batch and publish runs, atomically with respect to other
-// appends and snapshot captures. The returned Ack resolves when the
-// batch is synced. On error (closed or poisoned log) publish has NOT
-// run; the caller decides whether to publish anyway.
+// appends and snapshot captures. The record's LSN is written into rec
+// before publish runs. The returned Ack resolves when the batch is
+// synced. On error (closed or poisoned log) publish has NOT run; the
+// caller decides whether to publish anyway. A read-only record is not
+// appended at all (logReadOnly).
 func (l *Log) LogCommit(rec *storage.TxnCommit, publish func()) (storage.Ack, error) {
+	if rec.ReadOnly() {
+		return l.logReadOnly(rec.ReadHorizon, publish)
+	}
 	l.mu.Lock()
 	if err := l.usableLocked(); err != nil {
 		l.mu.Unlock()
@@ -200,8 +224,9 @@ func (l *Log) LogCommit(rec *storage.TxnCommit, publish func()) (storage.Ack, er
 	}
 	lsn := l.nextLSN
 	l.nextLSN++
+	rec.LSN = lsn
 	l.scratch = appendCommitPayload(l.scratch[:0], lsn, rec)
-	l.buf = appendFrame(l.buf, l.scratch)
+	l.appendLocked()
 	if publish != nil {
 		publish()
 	}
@@ -210,6 +235,57 @@ func (l *Log) LogCommit(rec *storage.TxnCommit, publish func()) (storage.Ack, er
 	l.mu.Unlock()
 	if big || l.opts.SyncInterval < 0 {
 		l.nudge()
+	}
+	return a, nil
+}
+
+// logReadOnly acknowledges a commit that changes no durable state. It
+// appends no frame and consumes no LSN: it only has to wait until the
+// versions it read are durable, and an unknown horizon stands for
+// everything appended so far. When the horizon is already durable the
+// Ack is nil and the log mutex is never taken. Otherwise the Ack joins
+// the batch that makes the horizon durable — the one in flight when it
+// covers the horizon, else the pending one — and no later batch.
+//
+// On the fast path publish runs without the mutex: a commit with no
+// record has no log position to be ordered against.
+func (l *Log) logReadOnly(h storage.ReadHorizon, publish func()) (storage.Ack, error) {
+	if h.Known && h.LSN <= l.durable.Load() && !l.down.Load() {
+		if publish != nil {
+			publish()
+		}
+		l.opts.Collector.ReadOnlyCommit(false)
+		return nil, nil
+	}
+	l.mu.Lock()
+	if err := l.usableLocked(); err != nil {
+		l.mu.Unlock()
+		return nil, err
+	}
+	// Every version a reader can see was appended before it got here, so
+	// the horizon never needs to reach past the last appended LSN.
+	target := l.nextLSN - 1
+	if h.Known && h.LSN < target {
+		target = h.LSN
+	}
+	var a *ack
+	switch {
+	case target <= l.durable.Load():
+	case target <= l.inflightLSN:
+		// Between flushes inflightLSN is at most durable, so only a batch
+		// still in flight gets here.
+		a = &ack{ch: make(chan struct{})}
+		l.inflight = append(l.inflight, a)
+	default:
+		a = l.enqueueAckLocked()
+	}
+	if publish != nil {
+		publish()
+	}
+	l.mu.Unlock()
+	l.opts.Collector.ReadOnlyCommit(a != nil)
+	if a == nil {
+		return nil, nil
 	}
 	return a, nil
 }
@@ -232,7 +308,7 @@ func (l *Log) LogCreate(id core.ObjectID, initial core.Value, oil, oel core.Dist
 	lsn := l.nextLSN
 	l.nextLSN++
 	l.scratch = appendCreatePayload(l.scratch[:0], lsn, id, initial, oil, oel)
-	l.buf = appendFrame(l.buf, l.scratch)
+	l.appendLocked()
 	a := l.enqueueAckLocked()
 	l.mu.Unlock()
 	l.nudge()
@@ -257,7 +333,7 @@ func (l *Log) LogSetAllLimits(oil, oel core.Distance, apply func()) error {
 	lsn := l.nextLSN
 	l.nextLSN++
 	l.scratch = appendLimitsPayload(l.scratch[:0], lsn, oil, oel)
-	l.buf = appendFrame(l.buf, l.scratch)
+	l.appendLocked()
 	a := l.enqueueAckLocked()
 	l.mu.Unlock()
 	l.nudge()
@@ -304,6 +380,7 @@ func (l *Log) Close() error {
 		return nil
 	}
 	l.closed = true
+	l.down.Store(true)
 	l.mu.Unlock()
 	close(l.quit)
 	<-l.done
@@ -335,6 +412,7 @@ func (l *Log) Kill() {
 	if l.err == nil {
 		l.err = ErrLogKilled
 	}
+	l.down.Store(true)
 	l.mu.Unlock()
 	close(l.killCh)
 	<-l.done
@@ -356,11 +434,20 @@ func (l *Log) usableLocked() error {
 	return l.err
 }
 
+// appendLocked frames the payload staged in scratch into the pending
+// batch. Records, not acks, count toward the batch size and
+// SnapshotEvery: a Sync barrier or a read-only commit adds nothing to
+// replay. Requires mu.
+func (l *Log) appendLocked() {
+	l.buf = appendFrame(l.buf, l.scratch)
+	l.records++
+	l.sinceSnap++
+}
+
 // enqueueAckLocked registers an ack on the pending batch; requires mu.
 func (l *Log) enqueueAckLocked() *ack {
 	a := &ack{ch: make(chan struct{})}
 	l.pending = append(l.pending, a)
-	l.sinceSnap++
 	return a
 }
 
@@ -379,6 +466,7 @@ func (l *Log) poison(err error) {
 	if l.err == nil {
 		l.err = err
 	}
+	l.down.Store(true)
 	l.mu.Unlock()
 	l.closeTails(err)
 }
@@ -425,38 +513,47 @@ func (l *Log) run() {
 
 // flushOnce swaps the pending batch out under the mutex, writes and
 // fsyncs it outside, then releases every waiting ack — one fsync for
-// the whole batch.
+// the whole batch. While the batch is in flight, read-only commits it
+// covers may still join its acks.
 func (l *Log) flushOnce() {
 	l.mu.Lock()
 	buf := l.buf
 	l.buf = l.spare[:0]
 	l.spare = buf
-	pending := l.pending
-	l.pending = l.pendSpare[:0]
-	l.pendSpare = pending
-	err := l.err
-	l.mu.Unlock()
-	if len(buf) == 0 && len(pending) == 0 {
+	if len(buf) == 0 && len(l.pending) == 0 {
+		l.mu.Unlock()
 		return
 	}
+	l.inflight = l.pending
+	l.inflightLSN = l.nextLSN - 1
+	l.pending = l.pendSpare[:0]
+	records := l.records
+	l.records = 0
+	err := l.err
+	l.mu.Unlock()
 	if err == nil {
 		if l.opts.SyncInterval < 0 {
 			err = l.writeEachSynced(buf)
 		} else {
-			err = l.writeBatchSynced(buf, len(pending))
+			err = l.writeBatchSynced(buf, records)
 		}
 	}
 	if err != nil {
 		l.poison(err)
-	} else {
+	}
+	l.mu.Lock()
+	if err == nil {
 		// The batch is durable: hand it to subscribers before releasing
 		// the acks, under mu so registration in SubscribeFrom is ordered
 		// against delivery (a new subscriber either receives this batch
 		// on its queue or reads it from the segment file).
-		l.mu.Lock()
+		l.durable.Store(l.inflightLSN)
 		l.deliverLocked(buf)
-		l.mu.Unlock()
 	}
+	pending := l.inflight
+	l.inflight = nil
+	l.pendSpare = pending
+	l.mu.Unlock()
 	for i, a := range pending {
 		a.err = err
 		close(a.ch)
