@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test lint staticcheck check bench bench-all soak crash-soak replica-soak certify
+.PHONY: build test lint staticcheck check bench bench-all benchmark soak crash-soak replica-soak certify
 
 build:
 	$(GO) build ./...
@@ -70,11 +70,18 @@ replica-soak:
 certify:
 	sh scripts/certify-ci.sh
 
-# bench runs the hot-path micro-benchmarks and emits BENCH_hotpath.json
-# (archived by CI). `make bench-all` runs every benchmark including the
-# figure sweeps.
+# bench runs the hot-path micro-benchmarks (engine, wire, WAL commit).
+# `make bench-all` runs every benchmark including the figure sweeps.
 bench:
-	sh scripts/bench.sh
+	$(GO) test -run '^$$' -bench 'EngineHotPath|WireRoundTrip|WALCommit' -benchmem .
 
 bench-all:
 	$(GO) test -bench=. -benchmem
+
+# benchmark is the end-to-end measurement (benchmark/README.md): real
+# esr-server processes over TCP, open-loop paced workloads timed from
+# their due time, per-layer attribution, and correctness gates. Results
+# go to OUT.
+OUT ?= benchmark-out
+benchmark:
+	bash benchmark/run.sh --seed 1 --out "$(OUT)"

@@ -9,23 +9,17 @@
 //	esr-bench -fig 12 -csv out/        # OIL sweep, also write CSV
 //	esr-bench -paper-scale             # the prototype's wall-clock RPC regime
 //	esr-bench -soak                    # banking soak through a faulty network
-//	esr-bench -load -pipeline 8        # open-loop load over the pipelined wire
-//	esr-bench -replicas 2              # read scaling over bounded-stale followers
 //
 // By default cells run on a deterministic virtual timeline (noise-free
 // and fast regardless of -duration); -paper-scale switches to the wall
 // clock with the prototype's 11 ms network + 6 ms service per operation,
 // reproducing the absolute tens-of-transactions-per-second regime.
 //
-// The figure sweeps are closed-loop measurements (each simulated client
-// waits for its transaction before issuing the next) and are labeled as
-// such. -load is the open-loop counterpart over real TCP: transaction
-// arrivals follow a fixed-tick target-rate schedule (-rate; 0 means
-// continuous/saturating), shipped over -conns pipelined connections at
-// -pipeline depth in Batch frames of -batch ops, with latency measured
-// from the scheduled arrival so queueing under load is visible. Those
-// open-loop numbers are the headline throughput metric recorded in
-// BENCH_hotpath.json and results/bench_trajectory.jsonl.
+// The figure sweeps are closed-loop measurements of a model (each
+// simulated client waits for its transaction before issuing the next,
+// and server capacity is a modelled per-operation service time) and are
+// labeled as such. Open-loop throughput and latency of the real server
+// over TCP are measured by the benchmark module (benchmark/README.md).
 //
 // -soak runs the robustness soak instead of a figure: a zero-sum banking
 // workload over real TCP connections wrapped with the -fault-* schedule
@@ -72,74 +66,12 @@ func main() {
 		soakTxns    = flag.Int("soak-txns", 0, "soak: committed programs per client (0 means default)")
 		soakPipe    = flag.Int("soak-pipeline", 0, "soak: pipeline depth per connection (<=1 means the synchronous protocol)")
 		soakBatch   = flag.Int("soak-batch", 0, "soak: ops per Batch frame when pipelined (<=0 means whole program per frame)")
-
-		loadMode    = flag.Bool("load", false, "run the open-loop load generator against a real server instead of a figure")
-		rate        = flag.Float64("rate", 0, "load: target aggregate arrival rate in txn/s (0 means continuous mode: saturate the pipeline)")
-		conns       = flag.Int("conns", 1, "load: client connections (1 isolates the pipelining speedup from connection parallelism)")
-		pipeline    = flag.Int("pipeline", 8, "load: outstanding frames per connection (1 means the synchronous seed protocol)")
-		batch       = flag.Int("batch", 0, "load: ops per Batch frame (<=0 ships each whole program in one frame, 1 means per-op frames)")
-		loadOps     = flag.Int("load-ops", 16, "load: delta-write operations per transaction (rounded down to even)")
-		loadObjects = flag.Int("load-objects", 32, "load: accounts per executor slice (disjoint slices keep concurrency-control conflicts out of the wire measurement)")
-		loadJSON    = flag.String("load-json", "", "load: also write the report as JSON to this path (merged into BENCH_hotpath.json by scripts/bench.sh)")
-		loadCertify = flag.Bool("load-certify", true, "load: record the trace and require esrcheck certification")
-		replicasN     = flag.Int("replicas", 0, "run the replica read-scaling benchmark with this many bounded-stale WAL followers (0 disables)")
-		replicaTIL    = flag.Int64("replica-til", 500, "replicas: import limit (TIL) of the measured queries")
-		replicaQuery  = flag.Int("replica-queries", 8, "replicas: closed-loop query workers")
-		replicaUpd    = flag.Int("replica-updates", 2, "replicas: concurrent zero-sum update workers on the primary")
-		replicaObjs   = flag.Int("replica-objects", 64, "replicas: shared hot objects")
-		replicaReads  = flag.Int("replica-reads", 4, "replicas: reads per query")
-		replicaSvc    = flag.Duration("replica-service", 150*time.Microsecond, "replicas: simulated per-operation service time (per-server capacity = threads/service)")
-		replicaThr    = flag.Int("replica-threads", 4, "replicas: capacity slots per server")
-		replicaFloor  = flag.Float64("replica-min-scaleup", 1.7, "replicas: fail when replica/primary query throughput falls below this ratio (0 disables)")
-		replicasJSON  = flag.String("replicas-json", "", "replicas: also write the report as JSON to this path (merged into BENCH_hotpath.json by scripts/bench.sh)")
 	)
 	faultCfg := faultnet.RegisterFlags(flag.CommandLine, "fault")
 	flag.Parse()
 
-	if *replicasN > 0 {
-		err := runReplicas(replicaConfig{
-			Replicas:      *replicasN,
-			TIL:           core.Distance(*replicaTIL),
-			Duration:      *duration,
-			QueryWorkers:  *replicaQuery,
-			UpdateWorkers: *replicaUpd,
-			Objects:       *replicaObjs,
-			ReadsPerQuery: *replicaReads,
-			Service:       *replicaSvc,
-			Threads:       *replicaThr,
-			Seed:          *seed,
-			MinScaleup:    *replicaFloor,
-			JSONPath:      *replicasJSON,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "esr-bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
 	if *soakMode {
 		if err := runSoak(*faultCfg, *soakClients, *soakTxns, *soakPipe, *soakBatch, *seed); err != nil {
-			fmt.Fprintln(os.Stderr, "esr-bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *loadMode {
-		err := runLoad(loadConfig{
-			Rate:      *rate,
-			Conns:     *conns,
-			Pipeline:  *pipeline,
-			Batch:     *batch,
-			OpsPerTxn: *loadOps,
-			Accounts:  *loadObjects,
-			Duration:  *duration,
-			Seed:      *seed,
-			Certify:   *loadCertify,
-			JSONPath:  *loadJSON,
-		})
-		if err != nil {
 			fmt.Fprintln(os.Stderr, "esr-bench:", err)
 			os.Exit(1)
 		}

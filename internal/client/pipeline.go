@@ -191,7 +191,9 @@ func (p *pipe) abandon(call *pendingCall) {
 }
 
 // enqueue hands one frame's calls to the writer, blocking while the
-// pipeline is at depth.
+// pipeline is at depth — but no longer than the frame's first call is
+// live: slots held by abandoned calls free up only when their late
+// replies arrive, which may be never.
 func (p *pipe) enqueue(item sendItem) error {
 	group := &callGroup{remaining: len(item.calls), pipe: p}
 	// Group assignment happens under mu: deliver reads call.group under
@@ -202,10 +204,21 @@ func (p *pipe) enqueue(item sendItem) error {
 		c.group = group
 	}
 	p.mu.Unlock()
+	first := item.calls[0]
 	select {
 	case p.slots <- struct{}{}:
 	case <-p.quit:
 		return p.teardownErr()
+	case <-first.done:
+		// The call resolved (its deadline expired, or the pipe tore
+		// down) before a slot freed up. Nothing was sent, so no reply
+		// will ever release these tags: free them here and fail the
+		// rest of the frame the same way.
+		p.unregister(item.calls)
+		for _, c := range item.calls[1:] {
+			c.finish(nil, first.err)
+		}
+		return first.err
 	}
 	// The slot acquisition races teardown: both selects pick randomly
 	// among ready cases, and the buffered channels stay ready after quit
@@ -257,6 +270,10 @@ func callResult(call *pendingCall) (wire.Message, error) {
 // batch sends reqs as one Batch frame and waits for every op's reply.
 // Results are positional; each op succeeds or fails alone.
 func (p *pipe) batch(reqs []wire.Message) ([]BatchResult, error) {
+	if len(reqs) == 0 {
+		// An empty frame would take a slot that no reply ever releases.
+		return nil, nil
+	}
 	calls := make([]*pendingCall, 0, len(reqs))
 	for _, req := range reqs {
 		if !wire.Batchable(req.MsgType()) {

@@ -269,6 +269,37 @@ func TestCallTimeoutExpiresOneSlotWithoutPoisoning(t *testing.T) {
 	}
 }
 
+func TestCallTimeoutBoundsWaitForSlot(t *testing.T) {
+	const timeout = 75 * time.Millisecond
+	c := pipeClient(t, 2, timeout, func(sc *wire.Conn) {
+		// Swallow every request: the abandoned calls keep both slots.
+		for {
+			_, inner := readTagged(t, sc)
+			if inner == nil {
+				return
+			}
+			wire.Recycle(inner)
+		}
+	})
+	swallowed := []*Pending{
+		c.CallAsync(&wire.Read{Txn: 1, Object: 1}),
+		c.CallAsync(&wire.Read{Txn: 1, Object: 2}),
+	}
+	start := time.Now()
+	_, err := c.CallAsync(&wire.Read{Txn: 1, Object: 3}).Wait()
+	if !errors.Is(err, ErrCallTimeout) {
+		t.Fatalf("third call error = %v, want ErrCallTimeout", err)
+	}
+	if took := time.Since(start); took > 2*timeout {
+		t.Errorf("third call took %v waiting for a slot, want <= %v", took, 2*timeout)
+	}
+	for i, p := range swallowed {
+		if _, err := p.Wait(); !errors.Is(err, ErrCallTimeout) {
+			t.Errorf("swallowed call %d error = %v, want ErrCallTimeout", i, err)
+		}
+	}
+}
+
 func TestDroppedConnectionFailsAllOutstanding(t *testing.T) {
 	const n = 4
 	c := pipeClient(t, n, 0, func(sc *wire.Conn) {

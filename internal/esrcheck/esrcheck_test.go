@@ -82,6 +82,26 @@ func TestCertifiesSerialZeroEpsilonHistory(t *testing.T) {
 			t.Errorf("witness = %v, want %v", rep.Witness, want)
 		}
 	}
+	if err := CheckSerializable(events); err != nil {
+		t.Errorf("strict mode flagged a serial history: %v", err)
+	}
+}
+
+func TestAbortedTransactionsExcluded(t *testing.T) {
+	// Update 2 writes x and y and aborts; query 1 read the initial x
+	// before and the initial y after. Counting the aborted writer's ops
+	// would manufacture a 1 → 2 → 1 cycle.
+	events := []tso.Event{
+		begin(1, 10, 0), qread(1, 10, 1, -1, 0, 0, 0, false),
+		ubegin(2, 20, 0), uwrite(2, 20, 1, 5, 0, 0), uwrite(2, 20, 2, 6, 0, 0), abort(2, 20),
+		qread(1, 10, 2, -1, 0, 0, 0, false), commit(1, 10, 0, 0),
+	}
+	if err := Check(events).Err(); err != nil {
+		t.Errorf("aborted txn constrained the oracle: %v", err)
+	}
+	if err := CheckSerializable(events); err != nil {
+		t.Errorf("aborted txn created conflicts: %v", err)
+	}
 }
 
 func TestZeroEpsilonRelaxedReadRefuted(t *testing.T) {

@@ -1,8 +1,6 @@
 // Strict mode: the ε=0 special case of the oracle. Every read is a hard
 // conflict — no relaxation is admissible — so the check degenerates to
-// classic conflict serializability over the committed projection, exactly
-// what internal/history's checker established before this package
-// existed. history.CheckSerializable now delegates here.
+// classic conflict serializability over the committed projection.
 package esrcheck
 
 import (

@@ -1,25 +1,15 @@
-// Package history records execution histories emitted by the engine and
-// checks them for conflict serializability.
+// Package history records the execution histories the engine emits.
 //
-// It is the test substrate that backs the paper's correctness claims: a
-// zero-epsilon configuration must produce only serializable histories
-// (ESR reduces to SR when the bounds are zero, §2), while epsilon
-// configurations may produce non-serializable histories whose value
-// divergence stays within the bounds. The checker builds the classic
-// conflict graph over committed transactions — write-write edges from the
-// version order, write-read edges from reads of a version to its writer,
-// and read-write edges from a version's readers to the writer of the next
-// version — and searches it for cycles.
+// A Recorder is the in-process trace sink: tests, soaks and benchmarks
+// attach one as the engine's tso.Tracer and hand its events to the
+// oracle (internal/esrcheck), which certifies or refutes them — with
+// epsilon bounds (esrcheck.Check) or at ε=0 under strict conflict
+// serializability (esrcheck.CheckSerializable).
 package history
 
 import (
-	"fmt"
-	"sort"
 	"sync"
 
-	"github.com/epsilondb/epsilondb/internal/core"
-	"github.com/epsilondb/epsilondb/internal/esrcheck"
-	"github.com/epsilondb/epsilondb/internal/tsgen"
 	"github.com/epsilondb/epsilondb/internal/tso"
 )
 
@@ -60,204 +50,4 @@ func (r *Recorder) Reset() {
 	r.mu.Lock()
 	r.events = nil
 	r.mu.Unlock()
-}
-
-// Analysis is the digest of a history: committed transactions, the
-// version chains per object, and the conflict graph.
-type Analysis struct {
-	// Committed maps every committed attempt to its timestamp.
-	Committed map[core.TxnID]tsgen.Timestamp
-	// Edges is the conflict graph adjacency over committed attempts.
-	Edges map[core.TxnID]map[core.TxnID]bool
-	// DirtyReadsOfAborted counts reads whose source version's writer
-	// aborted — allowed under ESR (and metered as the §5.1 corner),
-	// forbidden under SR.
-	DirtyReadsOfAborted int
-	// InconsistentOps counts operations that carried nonzero metered
-	// inconsistency.
-	InconsistentOps int
-}
-
-// version is one committed write of an object.
-type version struct {
-	ts     tsgen.Timestamp
-	writer core.TxnID
-}
-
-// Analyze digests an event stream.
-func Analyze(events []tso.Event) *Analysis {
-	a := &Analysis{
-		Committed: make(map[core.TxnID]tsgen.Timestamp),
-		Edges:     make(map[core.TxnID]map[core.TxnID]bool),
-	}
-	aborted := make(map[core.TxnID]bool)
-	for _, ev := range events {
-		switch ev.Kind {
-		case tso.EvCommit:
-			a.Committed[ev.Txn] = ev.TS
-		case tso.EvAbort:
-			aborted[ev.Txn] = true
-		case tso.EvRead, tso.EvWrite:
-			if ev.Inconsistency > 0 {
-				a.InconsistentOps++
-			}
-		}
-	}
-
-	// Per object: committed versions and committed reads.
-	versionsByObject := make(map[core.ObjectID][]version)
-	type readRec struct {
-		reader  core.TxnID
-		version tsgen.Timestamp
-	}
-	readsByObject := make(map[core.ObjectID][]readRec)
-	writerOfVersion := make(map[core.ObjectID]map[tsgen.Timestamp]core.TxnID)
-
-	for _, ev := range events {
-		switch ev.Kind {
-		case tso.EvWrite:
-			if _, ok := a.Committed[ev.Txn]; !ok {
-				continue
-			}
-			versionsByObject[ev.Object] = append(versionsByObject[ev.Object], version{ts: ev.Version, writer: ev.Txn})
-			m := writerOfVersion[ev.Object]
-			if m == nil {
-				m = make(map[tsgen.Timestamp]core.TxnID)
-				writerOfVersion[ev.Object] = m
-			}
-			m[ev.Version] = ev.Txn
-		case tso.EvRead:
-			if _, ok := a.Committed[ev.Txn]; !ok {
-				continue
-			}
-			readsByObject[ev.Object] = append(readsByObject[ev.Object], readRec{reader: ev.Txn, version: ev.Version})
-		}
-	}
-
-	addEdge := func(from, to core.TxnID) {
-		if from == to {
-			return
-		}
-		m := a.Edges[from]
-		if m == nil {
-			m = make(map[core.TxnID]bool)
-			a.Edges[from] = m
-		}
-		m[to] = true
-	}
-
-	for obj, vs := range versionsByObject {
-		// Committed versions of one object have strictly increasing
-		// write timestamps under timestamp ordering, so sorting by
-		// version timestamp recovers the version order.
-		sort.Slice(vs, func(i, j int) bool { return vs[i].ts.Before(vs[j].ts) })
-		versionsByObject[obj] = vs
-		for i := 1; i < len(vs); i++ {
-			addEdge(vs[i-1].writer, vs[i].writer) // WW
-		}
-	}
-
-	for obj, rs := range readsByObject {
-		vs := versionsByObject[obj]
-		for _, r := range rs {
-			// WR: the writer of the version read precedes the reader.
-			// Version "none" is the initial load with no writer.
-			if !r.version.IsNone() {
-				if w, ok := writerOfVersion[obj][r.version]; ok {
-					addEdge(w, r.reader)
-				} else {
-					// The read consumed a version that never committed.
-					a.DirtyReadsOfAborted++
-				}
-			}
-			// RW: the reader precedes the writer of the next version.
-			for _, v := range vs {
-				if r.version.Before(v.ts) {
-					addEdge(r.reader, v.writer)
-					break
-				}
-			}
-		}
-	}
-	return a
-}
-
-// Cycle returns a cycle in the conflict graph if one exists (a witness of
-// non-serializability), or nil if the graph is acyclic.
-func (a *Analysis) Cycle() []core.TxnID {
-	const (
-		white = 0
-		grey  = 1
-		black = 2
-	)
-	color := make(map[core.TxnID]int, len(a.Edges))
-	parent := make(map[core.TxnID]core.TxnID)
-
-	// Deterministic iteration order for reproducible witnesses.
-	nodes := make([]core.TxnID, 0, len(a.Edges))
-	for n := range a.Edges {
-		nodes = append(nodes, n)
-	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
-
-	var cycleStart, cycleEnd core.TxnID
-	var found bool
-	var dfs func(u core.TxnID)
-	dfs = func(u core.TxnID) {
-		if found {
-			return
-		}
-		color[u] = grey
-		succs := make([]core.TxnID, 0, len(a.Edges[u]))
-		for v := range a.Edges[u] {
-			succs = append(succs, v)
-		}
-		sort.Slice(succs, func(i, j int) bool { return succs[i] < succs[j] })
-		for _, v := range succs {
-			if found {
-				return
-			}
-			switch color[v] {
-			case white:
-				parent[v] = u
-				dfs(v)
-			case grey:
-				cycleStart, cycleEnd, found = v, u, true
-				return
-			}
-		}
-		color[u] = black
-	}
-	for _, n := range nodes {
-		if color[n] == white {
-			dfs(n)
-			if found {
-				break
-			}
-		}
-	}
-	if !found {
-		return nil
-	}
-	cycle := []core.TxnID{cycleStart}
-	for at := cycleEnd; at != cycleStart; at = parent[at] {
-		cycle = append(cycle, at)
-	}
-	// Reverse into edge order start → … → start.
-	for i, j := 1, len(cycle)-1; i < j; i, j = i+1, j-1 {
-		cycle[i], cycle[j] = cycle[j], cycle[i]
-	}
-	return append(cycle, cycleStart)
-}
-
-// CheckSerializable analyzes a history and returns an error describing
-// the violation if the committed projection is not conflict serializable
-// or contains reads of never-committed versions. It delegates to the
-// offline oracle's strict mode (internal/esrcheck): conflict
-// serializability is the ε=0 special case of the epsilon guarantee.
-func CheckSerializable(events []tso.Event) error {
-	if err := esrcheck.CheckSerializable(events); err != nil {
-		return fmt.Errorf("history: %w", err)
-	}
-	return nil
 }

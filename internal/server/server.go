@@ -482,12 +482,12 @@ func trackTxn(open map[core.TxnID]struct{}, req, resp wire.Message) {
 // fills the one matching the outcome and returns its address. With one
 // request in flight per connection the previous response is always dead
 // by the next dispatch, so the steady-state reply path allocates nothing.
+// The rare Stats probe allocates its large reply instead.
 type respBuf struct {
 	beginOK wire.BeginOK
 	value   wire.Value
 	ok      wire.OK
 	syncOK  wire.SyncOK
-	statsOK wire.StatsOK
 	err     wire.Error
 }
 
@@ -564,15 +564,16 @@ func (s *Server) dispatch(req wire.Message, rb *respBuf) wire.Message {
 		return &rb.syncOK
 
 	case *wire.Stats:
-		// The engine may run without a collector; a nil collector
-		// snapshots as zeros.
-		rb.statsOK = wire.StatsOK{
+		// Built per probe rather than kept in rb: StatsOK is ~20 KB of
+		// histograms, and the pipelined path holds one respBuf per reply
+		// in flight. The engine may run without a collector; a nil
+		// collector snapshots as zeros.
+		return &wire.StatsOK{
 			Snapshot:     s.engine.MetricsSnapshot(),
 			ProperMisses: s.engine.Store().ProperMisses(),
 			Live:         int64(s.engine.Live()),
 			Latencies:    s.engine.LatencySnapshot(),
 		}
-		return &rb.statsOK
 
 	default:
 		rb.err = wire.Error{Code: wire.CodeGeneric, Message: fmt.Sprintf("unexpected request %v", req.MsgType())}

@@ -2,6 +2,7 @@ package tso
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -169,6 +170,11 @@ func TestConcurrentTransferConservation(t *testing.T) {
 			}
 			e := NewEngine(st, Options{})
 
+			// The workers share one clock, as synchronized clients do, and
+			// differ only by site. Private clocks drift apart: a worker
+			// that falls behind keeps drawing timestamps older than what
+			// the others already committed and exhausts its retries.
+			clock := &tsgen.LogicalClock{}
 			var wg sync.WaitGroup
 			for w := 0; w < 4; w++ {
 				w := w
@@ -176,14 +182,14 @@ func TestConcurrentTransferConservation(t *testing.T) {
 				go func() {
 					defer wg.Done()
 					rng := rand.New(rand.NewSource(int64(w)))
-					gen := tsgen.NewGenerator(w, &tsgen.LogicalClock{})
+					gen := tsgen.NewGenerator(w, clock)
 					for i := 0; i < 60; i++ {
 						if rng.Intn(2) == 0 {
 							a := core.ObjectID(rng.Intn(numObjects))
 							b := core.ObjectID((int(a) + 1 + rng.Intn(numObjects-1)) % numObjects)
 							amt := core.Value(1 + rng.Intn(50))
 							p := core.NewUpdate(til).WriteDelta(a, amt).WriteDelta(b, -amt)
-							if _, _, err := e.RunRetry(p, gen, 200); err != nil {
+							if _, err := retryYielding(e, p, gen, 200); err != nil {
 								t.Errorf("update failed: %v", err)
 								return
 							}
@@ -192,7 +198,7 @@ func TestConcurrentTransferConservation(t *testing.T) {
 							for o := 0; o < numObjects; o++ {
 								p.Read(core.ObjectID(o))
 							}
-							res, _, err := e.RunRetry(p, gen, 200)
+							res, err := retryYielding(e, p, gen, 200)
 							if err != nil {
 								t.Errorf("query failed: %v", err)
 								return
@@ -212,6 +218,22 @@ func TestConcurrentTransferConservation(t *testing.T) {
 				t.Errorf("committed total = %d, want %d (conservation violated)", got, initial)
 			}
 		})
+	}
+}
+
+// retryYielding is RunRetry with a yield before each resubmission, the
+// way a real client gives up the CPU for a network round trip. Without
+// it two workers whose transfers cross (a→b against b→a) can duel for
+// hundreds of rounds: the one that aborts resubmits at once and re-takes
+// its first object before the other, just woken from waiting on that
+// object, reaches it, so each round the roles swap.
+func retryYielding(e *Engine, p *core.Program, gen *tsgen.Generator, maxAttempts int) (*Result, error) {
+	for attempt := 1; ; attempt++ {
+		res, err := e.RunProgram(p, gen.Next())
+		if _, isAbort := IsAbort(err); !isAbort || attempt == maxAttempts {
+			return res, err
+		}
+		runtime.Gosched()
 	}
 }
 

@@ -78,10 +78,9 @@ func ParseEventKind(s string) (EventKind, bool) {
 }
 
 // Event is one step of an execution history, emitted by the engine when a
-// Tracer is installed. The recorder in internal/history turns event
-// streams into conflict graphs so tests can verify that zero-epsilon
-// executions are conflict serializable and that epsilon executions stay
-// within their bounds.
+// Tracer is installed. The oracle in internal/esrcheck judges event
+// streams: it verifies that epsilon executions stay within their bounds
+// and that zero-epsilon executions are conflict serializable.
 type Event struct {
 	Kind    EventKind
 	Txn     core.TxnID

@@ -11,7 +11,7 @@
 // default 1ms sync interval this amortizes the fsync across all commits
 // that arrived in the window, which is what keeps durable throughput
 // within sight of the in-memory engine instead of collapsing to the
-// disk's sync rate (the ≥10× criterion tracked in BENCH_hotpath.json).
+// disk's sync rate (BenchmarkWALCommit: group vs fsync-per-txn).
 //
 // Atomicity contract: LogCommit appends the record and runs the
 // caller's publish callback (which makes the writes visible) under one
