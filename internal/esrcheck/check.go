@@ -34,8 +34,8 @@
 //  5. Zero-epsilon transactions (root bound 0, including everything the
 //     serializable baseline engines emit) must have no relaxed reads at
 //     all, so a history whose transactions are all zero-epsilon is
-//     certified exactly conflict-serializable — the classic checker in
-//     internal/history delegates to this package for that special case.
+//     certified exactly conflict-serializable (CheckSerializable is the
+//     strict mode for that special case).
 //
 // Soundness depends on trace completeness: a commit path that skips its
 // trace event is invisible here. The tracecomplete analyzer

@@ -92,7 +92,8 @@ type Object struct {
 	// successful reads by query and update ETs respectively. The split
 	// implements the case-3 condition "the last read was from a query
 	// ET": a write older than an update read is a hard conflict, a write
-	// older than only query reads may proceed under ESR.
+	// older than only query reads may proceed under ESR. Zero-epsilon
+	// query reads count as update reads (see RecordRead).
 	maxQueryReadTS  tsgen.Timestamp
 	maxUpdateReadTS tsgen.Timestamp
 
@@ -244,6 +245,9 @@ func (o *Object) SetWaker(f func(n int)) { o.waker = f }
 
 // RecordRead registers a successful read at the given timestamp from a
 // query or update ET, advancing the corresponding read-timestamp maximum.
+// The engine passes fromQuery only for epsilon-enabled queries: a
+// zero-epsilon query's read counts as an update read, since no write may
+// relax it.
 func (o *Object) RecordRead(ts tsgen.Timestamp, fromQuery bool) {
 	if fromQuery {
 		if ts.After(o.maxQueryReadTS) {

@@ -324,6 +324,32 @@ func TestCase3CommittedReaderExportsNothing(t *testing.T) {
 	}
 }
 
+func TestCase3NeverRelaxesZeroEpsilonQueryRead(t *testing.T) {
+	// A zero-epsilon query imports nothing, so an older write landing
+	// under its read is a hard conflict, as under an update read: the
+	// write aborts whether the query is still running or has committed,
+	// however much the writer itself may export.
+	for _, commitFirst := range []bool{false, true} {
+		e := newTestEngine(t, 1, Options{})
+		q := mustBegin(t, e, core.Query, 20, 0)
+		if _, err := e.Read(q, 1); err != nil {
+			t.Fatal(err)
+		}
+		if commitFirst {
+			if err := e.Commit(q); err != nil {
+				t.Fatal(err)
+			}
+		}
+		u := mustBegin(t, e, core.Update, 10, core.NoLimit)
+		wantAbort(t, e.Write(u, 1, 130), metrics.AbortLateWrite)
+		if !commitFirst {
+			if err := e.Commit(q); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
 // --- Figure 5 composite: proper value via write history ---
 
 func TestFigure5ProperValueAcrossManyUpdates(t *testing.T) {

@@ -172,7 +172,10 @@ func (e *Engine) readQuery(st *txnState, o *storage.Object) (core.Value, error) 
 // read-timestamp bookkeeping, tracing, and metrics. The object lock is
 // held on entry and released before returning.
 func (e *Engine) finishQueryRead(st *txnState, o *storage.Object, value, proper core.Value, d core.Distance, dirtyRead bool) core.Value {
-	o.RecordRead(st.ts, true)
+	// Only an epsilon-enabled query's read may be relaxed by a case-3
+	// write. A zero-epsilon query imports nothing, so its read is
+	// recorded as hard as an update's and an older write aborts.
+	o.RecordRead(st.ts, st.esr)
 	o.AddReader(st.id, proper)
 	st.reads = append(st.reads, o)
 	var version = o.CommittedTS()
