@@ -118,7 +118,7 @@ func BenchmarkWALCommit(b *testing.B) {
 		runWALCommitLoad(b, e)
 	})
 	b.Run("group", func(b *testing.B) {
-		e := newWALBenchEngine(b, wal.DefaultSyncInterval)
+		e := newWALBenchEngine(b, 0)
 		b.ReportAllocs()
 		runWALCommitLoad(b, e)
 	})

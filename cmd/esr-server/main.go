@@ -73,7 +73,7 @@ func main() {
 		shutdownGrace = flag.Duration("shutdown-grace", 10*time.Second, "how long shutdown waits for in-flight requests to drain")
 
 		walDir    = flag.String("wal-dir", "", "write-ahead log directory; enables durability and crash recovery (empty disables)")
-		walSync   = flag.Duration("wal-sync-interval", wal.DefaultSyncInterval, "group-commit fsync interval; negative fsyncs every commit")
+		walSync   = flag.Duration("wal-sync-interval", 0, "only the sign matters: zero or positive selects self-clocked group commit (no timer); negative fsyncs every commit")
 		snapEvery = flag.Int("snapshot-every", 0, "snapshot the store and truncate the log every N logged commits (0 disables)")
 
 		replicaOf    = flag.String("replica-of", "", "follow the primary at this address and serve bounded-stale query reads (requires the primary to run with -wal-dir)")

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"math/rand"
 	"testing"
-	"time"
 
 	"github.com/epsilondb/epsilondb/internal/core"
 	"github.com/epsilondb/epsilondb/internal/esrcheck"
@@ -31,7 +30,7 @@ type primary struct {
 func newPrimary(t *testing.T) *primary {
 	t.Helper()
 	store := storage.NewStore(storage.Config{HistoryDepth: testHistoryDepth})
-	l, err := wal.Open(wal.NewMemFS(), store, wal.Options{SyncInterval: time.Millisecond})
+	l, err := wal.Open(wal.NewMemFS(), store, wal.Options{})
 	if err != nil {
 		t.Fatalf("wal.Open: %v", err)
 	}

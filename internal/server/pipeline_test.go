@@ -121,7 +121,7 @@ func TestPipelinedGroupCommitAcks(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	l, err := wal.Open(wal.NewMemFS(), st, wal.Options{SyncInterval: 2 * time.Millisecond})
+	l, err := wal.Open(wal.NewMemFS(), st, wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

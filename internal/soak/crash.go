@@ -43,7 +43,8 @@ type CrashConfig struct {
 	// HistoryDepth is the per-object committed history bound the
 	// recovery must restore.
 	HistoryDepth int
-	// SyncInterval and SnapshotEvery configure the log under test.
+	// SyncInterval and SnapshotEvery configure the log under test; a
+	// negative SyncInterval fsyncs every record instead of group commit.
 	SyncInterval  time.Duration
 	SnapshotEvery int
 	// DirtyEvery makes every Nth cycle end in a mid-flight kill with a
@@ -75,7 +76,6 @@ func DefaultCrashConfig() CrashConfig {
 		TIL:            10_000,
 		TEL:            5_000,
 		HistoryDepth:   4,
-		SyncInterval:   200 * time.Microsecond,
 		SnapshotEvery:  64,
 		DirtyEvery:     2,
 		Certify:        true,

@@ -1,9 +1,6 @@
 package soak
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 // TestCrashSoakDefault runs the default kill-and-restart schedule:
 // clean and dirty kills alternating, conservation and epsilon-bound
@@ -44,7 +41,6 @@ func TestCrashSoakAllDirty(t *testing.T) {
 		cfg.DirtyEvery = 1
 		cfg.Cycles = 4
 		cfg.SnapshotEvery = 24
-		cfg.SyncInterval = 100 * time.Microsecond
 		report, err := RunCrash(cfg)
 		if err != nil {
 			t.Fatalf("seed %d: RunCrash: %v", seed, err)

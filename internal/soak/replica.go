@@ -222,7 +222,7 @@ func RunReplica(cfg ReplicaConfig) (*ReplicaReport, error) {
 	// Primary: a durable store whose creations are logged, so followers
 	// rebuild the database from the stream alone.
 	store := storage.NewStore(storage.Config{HistoryDepth: 16})
-	l, err := wal.Open(wal.NewMemFS(), store, wal.Options{SyncInterval: 200 * time.Microsecond})
+	l, err := wal.Open(wal.NewMemFS(), store, wal.Options{})
 	if err != nil {
 		return nil, err
 	}

@@ -279,8 +279,12 @@ func TestPopulateRejectsBadRanges(t *testing.T) {
 // TestTotalValueAndSetAllLimitsSnapshot pins the documented consistency
 // contract: both walk a point-in-time snapshot of the object set taken
 // under the store lock, then visit objects under their own locks, so
-// concurrent creates cannot deadlock or corrupt the walk.
+// concurrent creates cannot deadlock or corrupt the walk. The creator
+// runs in lockstep with the walks — a fixed burst of creates per walk,
+// racing that walk — so the store stays small however the two are
+// scheduled.
 func TestTotalValueAndSetAllLimitsSnapshot(t *testing.T) {
+	const walks, perWalk = 200, 16
 	s := NewStore(Config{})
 	for i := core.ObjectID(1); i <= 64; i++ {
 		if _, err := s.CreateWithLimits(i, core.Value(i), core.NoLimit, core.NoLimit); err != nil {
@@ -288,29 +292,27 @@ func TestTotalValueAndSetAllLimitsSnapshot(t *testing.T) {
 		}
 	}
 	var wg sync.WaitGroup
-	stop := make(chan struct{})
+	step := make(chan struct{})
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		next := core.ObjectID(1000)
-		for {
-			select {
-			case <-stop:
-				return
-			default:
+		for range step {
+			for j := 0; j < perWalk; j++ {
+				_, _ = s.CreateWithLimits(next, 1, core.NoLimit, core.NoLimit)
+				next++
 			}
-			_, _ = s.CreateWithLimits(next, 1, core.NoLimit, core.NoLimit)
-			next++
 		}
 	}()
-	for i := 0; i < 200; i++ {
+	for i := 0; i < walks; i++ {
+		step <- struct{}{} // the creator's next burst overlaps this walk
 		if got := s.TotalValue(); got < 64*65/2 {
 			t.Errorf("TotalValue %d lost committed value", got)
 			break
 		}
 		s.SetAllLimits(core.Distance(i), core.Distance(i))
 	}
-	close(stop)
+	close(step)
 	wg.Wait()
 	// Every object present before the last sweep carries its limits.
 	o, err := s.Get(1)

@@ -1,6 +1,7 @@
 package tso
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -10,13 +11,65 @@ import (
 	"github.com/epsilondb/epsilondb/internal/wal"
 )
 
-// durableEngine builds an engine over a write-ahead log on a MemFS whose
-// group-commit window is an hour, so nothing is fsynced unless the test
-// calls Sync (or a create waits for its record).
-func durableEngine(t *testing.T, n int) (*Engine, *wal.Log, *metrics.Collector) {
+// gateFS wraps a log filesystem so a test can hold the committer inside
+// a segment fsync: while held, the batch in flight stays unsynced and
+// every ack waiting on it stays unresolved.
+type gateFS struct {
+	wal.FS
+	mu      sync.Mutex
+	gate    chan struct{}
+	entered chan struct{}
+}
+
+func (g *gateFS) Create(name string) (wal.File, error) {
+	f, err := g.FS.Create(name)
+	if err != nil {
+		return nil, err
+	}
+	return gateFile{f, g}, nil
+}
+
+// hold makes the next fsyncs block until the returned release runs;
+// entered receives once one of them has begun.
+func (g *gateFS) hold() (entered <-chan struct{}, release func()) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.gate, g.entered = make(chan struct{}), make(chan struct{}, 1)
+	gate := g.gate
+	return g.entered, func() {
+		g.mu.Lock()
+		g.gate = nil
+		g.mu.Unlock()
+		close(gate)
+	}
+}
+
+type gateFile struct {
+	wal.File
+	fs *gateFS
+}
+
+func (f gateFile) Sync() error {
+	f.fs.mu.Lock()
+	gate, entered := f.fs.gate, f.fs.entered
+	f.fs.mu.Unlock()
+	if gate != nil {
+		select {
+		case entered <- struct{}{}:
+		default:
+		}
+		<-gate
+	}
+	return f.File.Sync()
+}
+
+// durableEngine builds an engine over a write-ahead log on a gated
+// MemFS, so a test can hold a batch in its fsync.
+func durableEngine(t *testing.T, n int) (*Engine, *wal.Log, *gateFS, *metrics.Collector) {
 	t.Helper()
 	col := &metrics.Collector{}
-	store, l, _, err := wal.Recover(wal.NewMemFS(), storage.Config{}, wal.Options{SyncInterval: time.Hour, Collector: col})
+	fs := &gateFS{FS: wal.NewMemFS()}
+	store, l, _, err := wal.Recover(fs, storage.Config{}, wal.Options{Collector: col})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +79,7 @@ func durableEngine(t *testing.T, n int) (*Engine, *wal.Log, *metrics.Collector) 
 			t.Fatal(err)
 		}
 	}
-	return NewEngine(store, Options{Collector: col, Durability: l}), l, col
+	return NewEngine(store, Options{Collector: col, Durability: l}), l, fs, col
 }
 
 // commitAsync commits txn on its own goroutine; the channel yields the
@@ -53,8 +106,8 @@ func returnsWithin(t *testing.T, done <-chan error, d time.Duration) bool {
 }
 
 // durableTransfer commits a transfer of 10 from object 1 to object 2 at
-// ts and makes it durable.
-func durableTransfer(t *testing.T, e *Engine, l *wal.Log, ts int64) {
+// ts; the commit returns once its record is durable.
+func durableTransfer(t *testing.T, e *Engine, ts int64) {
 	t.Helper()
 	u := mustBegin(t, e, core.Update, ts, 0)
 	for obj, delta := range map[core.ObjectID]core.Value{1: -10, 2: 10} {
@@ -62,17 +115,7 @@ func durableTransfer(t *testing.T, e *Engine, l *wal.Log, ts int64) {
 			t.Fatal(err)
 		}
 	}
-	head := l.Head()
-	done := commitAsync(e, u)
-	for deadline := time.Now().Add(5 * time.Second); l.Head() == head; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("transfer never logged")
-		}
-	}
-	if err := l.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if !returnsWithin(t, done, 5*time.Second) {
+	if !returnsWithin(t, commitAsync(e, u), 5*time.Second) {
 		t.Fatal("transfer commit never acknowledged")
 	}
 }
@@ -81,8 +124,8 @@ func durableTransfer(t *testing.T, e *Engine, l *wal.Log, ts int64) {
 func fsyncs(col *metrics.Collector) int64 { return col.LatencySnapshot()[metrics.LatFsync].Count }
 
 func TestDurableQueryOverDurableVersionsNeedsNoFsync(t *testing.T) {
-	e, l, col := durableEngine(t, 3)
-	durableTransfer(t, e, l, 10)
+	e, l, _, col := durableEngine(t, 3)
+	durableTransfer(t, e, 10)
 	before, head := fsyncs(col), l.Head()
 
 	q := mustBegin(t, e, core.Query, 20, 0)
@@ -112,31 +155,16 @@ func TestDurableQueryOverDurableVersionsNeedsNoFsync(t *testing.T) {
 }
 
 func TestDurableQueryOverUnsyncedVersionWaitsForSync(t *testing.T) {
-	e, l, col := durableEngine(t, 2)
+	e, _, fs, col := durableEngine(t, 2)
 	u := mustBegin(t, e, core.Update, 10, 0)
 	if _, err := e.WriteDelta(u, 1, 5); err != nil {
 		t.Fatal(err)
 	}
+	entered, release := fs.hold()
 	update := commitAsync(e, u)
-	// The update publishes before its record is synced; wait until the
-	// new version is visible, so the query below reads it.
-	o, err := e.Store().Get(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		o.Lock()
-		_, dirty := o.Dirty()
-		o.Unlock()
-		if !dirty {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("update never published")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	// The update publishes before its record is synced: once the record
+	// is in its held fsync, the query below reads the new version.
+	<-entered
 
 	q := mustBegin(t, e, core.Query, 20, 0)
 	if v, err := e.Read(q, 1); err != nil || v != 105 {
@@ -146,12 +174,10 @@ func TestDurableQueryOverUnsyncedVersionWaitsForSync(t *testing.T) {
 	if returnsWithin(t, query, 50*time.Millisecond) {
 		t.Fatal("the query was acknowledged before the version it read was durable")
 	}
-	if err := l.Sync(); err != nil {
-		t.Fatal(err)
-	}
+	release()
 	for _, done := range []<-chan error{update, query} {
 		if !returnsWithin(t, done, 5*time.Second) {
-			t.Fatal("commit not acknowledged after Sync")
+			t.Fatal("commit not acknowledged after the fsync completed")
 		}
 	}
 	if s := col.Snapshot(); s.ReadOnlyCommits != 1 || s.ReadOnlyWaits != 1 {
@@ -160,27 +186,27 @@ func TestDurableQueryOverUnsyncedVersionWaitsForSync(t *testing.T) {
 }
 
 func TestDurableQueryWithImportIsLogged(t *testing.T) {
-	e, l, col := durableEngine(t, 2)
+	e, l, fs, col := durableEngine(t, 2)
 	// The query begins before a transfer commits, then reads the newer
 	// committed value: ESR case 1, charged against its TIL.
 	q := mustBegin(t, e, core.Query, 5, 1000)
-	durableTransfer(t, e, l, 10)
+	durableTransfer(t, e, 10)
 	head := l.Head()
 	if v, err := e.Read(q, 1); err != nil || v != 90 {
 		t.Fatalf("late query read %d, %v; want 90", v, err)
 	}
+	entered, release := fs.hold()
 	query := commitAsync(e, q)
+	<-entered // the query's record is in its fsync
 	if returnsWithin(t, query, 50*time.Millisecond) {
 		t.Fatal("a query that imported inconsistency was acknowledged before its record was durable")
 	}
 	if got := l.Head(); got != head+1 {
 		t.Fatalf("head %d -> %d, want one record for the importing query", head, got)
 	}
-	if err := l.Sync(); err != nil {
-		t.Fatal(err)
-	}
+	release()
 	if !returnsWithin(t, query, 5*time.Second) {
-		t.Fatal("query commit not acknowledged after Sync")
+		t.Fatal("query commit not acknowledged after the fsync completed")
 	}
 	if s := col.Snapshot(); s.ReadOnlyCommits != 0 {
 		t.Fatalf("an importing query counted as read-only (%d)", s.ReadOnlyCommits)

@@ -25,7 +25,10 @@ type gateFS struct {
 
 func newGateFS() *gateFS { return &gateFS{MemFS: NewMemFS()} }
 
-// hold makes the next fsyncs block until the returned release runs.
+// hold makes the next fsyncs block until the returned release runs;
+// entered receives once one of them has begun. A hold taken before an
+// earlier one is released gates the fsyncs that start after that
+// release, so a test can let one batch through and catch the next.
 func (g *gateFS) hold() (entered <-chan struct{}, release func()) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -33,7 +36,9 @@ func (g *gateFS) hold() (entered <-chan struct{}, release func()) {
 	gate := g.gate
 	return g.entered, func() {
 		g.mu.Lock()
-		g.gate = nil
+		if g.gate == gate {
+			g.gate = nil
+		}
 		g.mu.Unlock()
 		close(gate)
 	}
@@ -73,6 +78,34 @@ func (f *gateFile) Sync() error {
 		return fail
 	}
 	return f.File.Sync()
+}
+
+// holdInflight writes one record and returns once the committer is
+// inside its fsync, held there until release runs. Everything appended
+// before release joins the pending batch, flushed right after it.
+func holdInflight(t *testing.T, fs *gateFS, store *storage.Store, l *Log, txn core.TxnID, obj core.ObjectID, v core.Value) (storage.Ack, func()) {
+	t.Helper()
+	entered, release := fs.hold()
+	a := logWrite(t, store, l, txn, obj, v, tsgen.Timestamp(txn), 0, 0)
+	<-entered
+	return a, release
+}
+
+// killHeld kills l while its committer is held inside an fsync: the kill
+// takes effect first, then the held fsync is released so the committer
+// can observe it.
+func killHeld(t *testing.T, l *Log, release func()) {
+	t.Helper()
+	killed := make(chan struct{})
+	go func() {
+		l.Kill()
+		close(killed)
+	}()
+	for l.Err() == nil {
+		time.Sleep(time.Millisecond)
+	}
+	release()
+	<-killed
 }
 
 // readOnly is a commit record with no writes and no inconsistency.
@@ -119,7 +152,7 @@ func segmentBytes(t *testing.T, fs *MemFS) int {
 func TestReadOnlyCommitAppendsNothing(t *testing.T) {
 	fs := NewMemFS()
 	col := &metrics.Collector{}
-	store, l := openTest(t, fs, Options{SyncInterval: time.Hour, Collector: col})
+	store, l := openTest(t, fs, Options{Collector: col})
 	defer l.Close()
 	mustCreate(t, store, 1, 10)
 	head, size := l.Head(), segmentBytes(t, fs)
@@ -171,7 +204,7 @@ func TestReadOnlyCommitAppendsNothing(t *testing.T) {
 // a snapshot capture holds that mutex for as long as it takes.
 func TestReadOnlyDurableHorizonSkipsMutex(t *testing.T) {
 	fs := NewMemFS()
-	store, l := openTest(t, fs, Options{SyncInterval: time.Hour})
+	store, l := openTest(t, fs, Options{})
 	defer l.Close()
 	mustCreate(t, store, 1, 10)
 	a := logWrite(t, store, l, 1, 1, 11, 1, 0, 0)
@@ -211,19 +244,13 @@ func TestReadOnlyDurableHorizonSkipsMutex(t *testing.T) {
 func TestReadOnlyJoinsInflightBatch(t *testing.T) {
 	fs := newGateFS()
 	col := &metrics.Collector{}
-	store, l := openTest(t, fs, Options{SyncInterval: time.Hour, Collector: col})
+	store, l := openTest(t, fs, Options{Collector: col})
 	defer l.Close()
 	mustCreate(t, store, 1, 10)
 	mustCreate(t, store, 2, 20)
 
-	w1 := logWrite(t, store, l, 1, 1, 11, 1, 0, 0)
-	lsn1 := l.Head()
-	entered, release := fs.hold()
-	syncDone := make(chan error, 1)
-	go func() { syncDone <- l.Sync() }()
-	<-entered // the batch holding lsn1 is in flight
-
-	inflight, err := l.LogCommit(readOnly(10, known(lsn1)), nil)
+	w1, release := holdInflight(t, fs, store, l, 1, 1, 11)
+	inflight, err := l.LogCommit(readOnly(10, known(l.Head())), nil)
 	if err != nil || inflight == nil {
 		t.Fatalf("read-only commit over the in-flight batch = %v, %v; want an ack", inflight, err)
 	}
@@ -232,26 +259,20 @@ func TestReadOnlyJoinsInflightBatch(t *testing.T) {
 	if err != nil || later == nil {
 		t.Fatalf("read-only commit over the pending batch = %v, %v; want an ack", later, err)
 	}
+	// Let the in-flight batch through and catch the pending one in its
+	// own fsync.
+	entered, releaseNext := fs.hold()
 	release()
-	if err := <-syncDone; err != nil {
-		t.Fatal(err)
-	}
-	if !resolved(inflight, 5*time.Second) {
-		t.Fatal("the in-flight batch's flush did not release the ack that joined it")
-	}
+	<-entered
 	for _, a := range []storage.Ack{w1, inflight} {
 		if err := a.Wait(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Nothing nudges the committer again for an hour: the pending batch,
-	// and the ack waiting on it, must still be waiting.
 	if resolved(later, 50*time.Millisecond) {
 		t.Fatal("an ack on the pending batch resolved before that batch was flushed")
 	}
-	if err := l.Sync(); err != nil {
-		t.Fatal(err)
-	}
+	releaseNext()
 	for _, a := range []storage.Ack{w2, later} {
 		if err := a.Wait(); err != nil {
 			t.Fatal(err)
@@ -266,23 +287,26 @@ func TestReadOnlyJoinsInflightBatch(t *testing.T) {
 // for everything appended before it, and for nothing when that is
 // already durable.
 func TestReadOnlyUnknownHorizonIsBarrier(t *testing.T) {
-	fs := NewMemFS()
-	store, l := openTest(t, fs, Options{SyncInterval: time.Hour})
+	fs := newGateFS()
+	store, l := openTest(t, fs, Options{})
 	mustCreate(t, store, 1, 10)
-	logWrite(t, store, l, 1, 1, 11, 1, 0, 0)
+	mustCreate(t, store, 2, 20)
+	_, release := holdInflight(t, fs, store, l, 1, 1, 11)
+	// Appended behind the in-flight batch: only the next flush covers it.
+	logWrite(t, store, l, 2, 2, 21, 2, 0, 0)
 
-	a, err := l.LogCommit(readOnly(2, storage.ReadHorizon{}), nil)
+	a, err := l.LogCommit(readOnly(3, storage.ReadHorizon{}), nil)
 	if err != nil || a == nil {
 		t.Fatalf("unknown horizon over an unsynced record = %v, %v; want an ack", a, err)
 	}
 	if resolved(a, 50*time.Millisecond) {
 		t.Fatal("unknown horizon resolved before the record it may have read was flushed")
 	}
-	l.nudge()
+	release()
 	if err := a.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	// Acknowledged: the record must survive a crash that drops every
+	// Acknowledged: both records must survive a crash that drops every
 	// unsynced byte.
 	l.Kill()
 	fs.Crash(nil)
@@ -290,12 +314,12 @@ func TestReadOnlyUnknownHorizonIsBarrier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Commits != 1 {
-		t.Fatalf("replayed %d commits after the barrier, want 1", info.Commits)
+	if info.Commits != 2 {
+		t.Fatalf("replayed %d commits after the barrier, want 2", info.Commits)
 	}
 
 	fs2 := NewMemFS()
-	_, l2 := openTest(t, fs2, Options{SyncInterval: time.Hour})
+	_, l2 := openTest(t, fs2, Options{})
 	defer l2.Close()
 	if a, err := l2.LogCommit(readOnly(3, storage.ReadHorizon{}), nil); a != nil || err != nil {
 		t.Fatalf("unknown horizon with nothing unsynced = %v, %v; want nil, nil", a, err)
@@ -308,7 +332,7 @@ func TestReadOnlyUnknownHorizonIsBarrier(t *testing.T) {
 func TestReadOnlyErrorsUnchanged(t *testing.T) {
 	horizons := []storage.ReadHorizon{known(0), {}}
 	t.Run("closed", func(t *testing.T) {
-		_, l := openTest(t, NewMemFS(), Options{SyncInterval: time.Hour})
+		_, l := openTest(t, NewMemFS(), Options{})
 		if err := l.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -319,39 +343,42 @@ func TestReadOnlyErrorsUnchanged(t *testing.T) {
 		}
 	})
 	t.Run("killed", func(t *testing.T) {
-		store, l := openTest(t, NewMemFS(), Options{SyncInterval: time.Hour})
+		fs := newGateFS()
+		store, l := openTest(t, fs, Options{})
 		mustCreate(t, store, 1, 10)
-		logWrite(t, store, l, 1, 1, 11, 1, 0, 0)
-		a, err := l.LogCommit(readOnly(2, known(l.Head())), nil)
+		_, release := holdInflight(t, fs, store, l, 1, 1, 11)
+		logWrite(t, store, l, 2, 1, 12, 2, 0, 0)
+		a, err := l.LogCommit(readOnly(3, known(l.Head())), nil)
 		if err != nil || a == nil {
 			t.Fatalf("LogCommit = %v, %v; want an ack", a, err)
 		}
-		l.Kill()
+		killHeld(t, l, release)
 		if err := a.Wait(); err != ErrLogKilled {
 			t.Fatalf("pending read-only ack after Kill = %v, want ErrLogKilled", err)
 		}
-		_, wantErr := l.LogCommit(&storage.TxnCommit{Txn: 3, Writes: []storage.CommittedWrite{{Object: 1}}}, nil)
+		_, wantErr := l.LogCommit(&storage.TxnCommit{Txn: 4, Writes: []storage.CommittedWrite{{Object: 1}}}, nil)
 		if wantErr == nil {
 			t.Fatal("a record was accepted after Kill")
 		}
 		for _, h := range horizons {
-			if _, err := l.LogCommit(readOnly(4, h), nil); err != wantErr {
+			if _, err := l.LogCommit(readOnly(5, h), nil); err != wantErr {
 				t.Fatalf("horizon %+v after Kill: %v, want %v as for a record", h, err, wantErr)
 			}
 		}
 	})
 	t.Run("poisoned", func(t *testing.T) {
 		fs := newGateFS()
-		store, l := openTest(t, fs, Options{SyncInterval: time.Hour})
+		store, l := openTest(t, fs, Options{})
 		defer l.Close()
 		mustCreate(t, store, 1, 10)
 		boom := errors.New("disk on fire")
 		fs.failSyncs(boom)
-		w := logWrite(t, store, l, 1, 1, 11, 1, 0, 0)
+		w, release := holdInflight(t, fs, store, l, 1, 1, 11)
 		a, err := l.LogCommit(readOnly(2, known(l.Head())), nil)
 		if err != nil || a == nil {
 			t.Fatalf("LogCommit = %v, %v; want an ack", a, err)
 		}
+		release()
 		if err := l.Sync(); err != boom {
 			t.Fatalf("Sync = %v, want the fsync failure", err)
 		}

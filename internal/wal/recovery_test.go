@@ -3,7 +3,6 @@ package wal
 import (
 	"math/rand"
 	"testing"
-	"time"
 
 	"github.com/epsilondb/epsilondb/internal/core"
 	"github.com/epsilondb/epsilondb/internal/storage"
@@ -243,7 +242,7 @@ func TestRandomCrashRecover(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		fs := NewMemFS()
-		store, l := openTest(t, fs, Options{SyncInterval: time.Hour})
+		store, l := openTest(t, fs, Options{})
 		const objects = 4
 		for id := core.ObjectID(1); id <= objects; id++ {
 			mustCreate(t, store, id, 100)

@@ -44,7 +44,7 @@ func drainTo(t *testing.T, tail *Tail, follower *storage.Store, from, target uin
 // follower reconstructs the primary exactly from the streamed frames.
 func TestTailFollowsLive(t *testing.T) {
 	fs := NewMemFS()
-	store, l := openTest(t, fs, Options{SyncInterval: time.Millisecond})
+	store, l := openTest(t, fs, Options{})
 	defer l.Close()
 
 	tail, image, err := l.SubscribeFrom(0)
@@ -77,7 +77,7 @@ func TestTailFollowsLive(t *testing.T) {
 // only when the reader finishes them.
 func TestSnapshotPinsSegmentsForTail(t *testing.T) {
 	fs := NewMemFS()
-	store, l := openTest(t, fs, Options{SyncInterval: time.Millisecond})
+	store, l := openTest(t, fs, Options{})
 	defer l.Close()
 
 	mustCreate(t, store, 1, 100)
@@ -142,7 +142,7 @@ func TestSnapshotPinsSegmentsForTail(t *testing.T) {
 // checks the bootstrap image plus the live stream reconstruct the store.
 func TestTailBootstrapAfterTruncation(t *testing.T) {
 	fs := NewMemFS()
-	store, l := openTest(t, fs, Options{SyncInterval: time.Millisecond})
+	store, l := openTest(t, fs, Options{})
 	defer l.Close()
 
 	mustCreate(t, store, 1, 100)
@@ -196,7 +196,7 @@ func TestTailBootstrapAfterTruncation(t *testing.T) {
 // records past afterLSN are delivered.
 func TestTailResumeFromLSN(t *testing.T) {
 	fs := NewMemFS()
-	store, l := openTest(t, fs, Options{SyncInterval: time.Millisecond})
+	store, l := openTest(t, fs, Options{})
 	defer l.Close()
 
 	mustCreate(t, store, 1, 100)
@@ -241,7 +241,7 @@ func TestTailResumeFromLSN(t *testing.T) {
 // resolve a blocked Next with a typed error.
 func TestTailCloseUnblocksNext(t *testing.T) {
 	fs := NewMemFS()
-	_, l := openTest(t, fs, Options{SyncInterval: time.Millisecond})
+	_, l := openTest(t, fs, Options{})
 
 	tail, _, err := l.SubscribeFrom(0)
 	if err != nil {
@@ -290,7 +290,7 @@ func TestTailCloseUnblocksNext(t *testing.T) {
 // exactly (run with -race).
 func TestTailConcurrentSnapshots(t *testing.T) {
 	fs := NewMemFS()
-	store, l := openTest(t, fs, Options{SyncInterval: 100 * time.Microsecond, SegmentBytes: 2 << 10})
+	store, l := openTest(t, fs, Options{SegmentBytes: 2 << 10})
 	defer l.Close()
 
 	mustCreate(t, store, 1, 0)

@@ -4,14 +4,16 @@
 // that rebuilds the store, the bounded per-object history, and the
 // accumulated epsilon accounting exactly.
 //
-// Group commit: appenders encode their record into the pending batch
-// under the log mutex and receive an Ack; a single committer goroutine
-// flushes the batch to the active segment on a size or time trigger —
-// one write, one fsync — and releases every waiting Ack at once. At the
-// default 1ms sync interval this amortizes the fsync across all commits
-// that arrived in the window, which is what keeps durable throughput
-// within sight of the in-memory engine instead of collapsing to the
-// disk's sync rate (BenchmarkWALCommit: group vs fsync-per-txn).
+// Group commit is self-clocked: appenders encode their record into the
+// pending batch under the log mutex, receive an Ack and nudge a single
+// committer goroutine. An idle committer flushes at once — one write,
+// one fsync — and releases every waiting Ack. Appends that arrive while
+// an fsync is in flight form the next batch, flushed right after it, so
+// the fsync itself is the batching window: a lone commit pays one
+// fsync and no timer, and under load one fsync covers everything that
+// queued behind the previous one, which keeps durable throughput within
+// sight of the in-memory engine instead of collapsing to the disk's
+// sync rate (BenchmarkWALCommit: group vs fsync-per-txn).
 //
 // Atomicity contract: LogCommit appends the record and runs the
 // caller's publish callback (which makes the writes visible) under one
@@ -36,12 +38,8 @@ import (
 	"github.com/epsilondb/epsilondb/internal/storage"
 )
 
-// Defaults for Options zero values.
-const (
-	DefaultSyncInterval = time.Millisecond
-	DefaultBatchBytes   = 256 << 10
-	DefaultSegmentBytes = 4 << 20
-)
+// DefaultSegmentBytes is the segment size when Options.SegmentBytes is zero.
+const DefaultSegmentBytes = 4 << 20
 
 // ErrLogClosed is returned for appends after Close.
 var ErrLogClosed = errors.New("wal: log closed")
@@ -52,14 +50,11 @@ var ErrLogKilled = errors.New("wal: log killed before batch was synced")
 
 // Options configures a Log.
 type Options struct {
-	// SyncInterval is the group-commit window: the committer flushes the
-	// pending batch at least this often. Zero means DefaultSyncInterval;
-	// negative disables batching and fsyncs after every append (the
+	// SyncInterval selects the commit mode by its sign only. Zero or
+	// positive is self-clocked group commit, which has no timer: the
+	// magnitude is ignored. Negative fsyncs after every record (the
 	// per-transaction baseline the benchmarks compare against).
 	SyncInterval time.Duration
-	// BatchBytes flushes the batch early once this many encoded bytes
-	// are pending. Zero means DefaultBatchBytes.
-	BatchBytes int
 	// SegmentBytes rolls to a new segment file once the active one
 	// reaches this size. Zero means DefaultSegmentBytes.
 	SegmentBytes int
@@ -165,14 +160,8 @@ func Open(fs FS, source *storage.Store, opts Options) (*Log, error) {
 
 // newLog builds the Log and starts its committer.
 func newLog(fs FS, source *storage.Store, info RecoveryInfo, opts Options) (*Log, error) {
-	if opts.BatchBytes <= 0 {
-		opts.BatchBytes = DefaultBatchBytes
-	}
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = DefaultSegmentBytes
-	}
-	if opts.SyncInterval == 0 {
-		opts.SyncInterval = DefaultSyncInterval
 	}
 	nextLSN := info.NextLSN
 	if nextLSN == 0 {
@@ -231,11 +220,8 @@ func (l *Log) LogCommit(rec *storage.TxnCommit, publish func()) (storage.Ack, er
 		publish()
 	}
 	a := l.enqueueAckLocked()
-	big := len(l.buf) >= l.opts.BatchBytes
 	l.mu.Unlock()
-	if big || l.opts.SyncInterval < 0 {
-		l.nudge()
-	}
+	l.nudge()
 	return a, nil
 }
 
@@ -278,6 +264,7 @@ func (l *Log) logReadOnly(h storage.ReadHorizon, publish func()) (storage.Ack, e
 		l.inflight = append(l.inflight, a)
 	default:
 		a = l.enqueueAckLocked()
+		defer l.nudge() // runs after the unlock below
 	}
 	if publish != nil {
 		publish()
@@ -451,7 +438,10 @@ func (l *Log) enqueueAckLocked() *ack {
 	return a
 }
 
-// nudge asks the committer to flush now.
+// nudge asks the committer to flush as soon as it is idle. Every append
+// that registers an ack on the pending batch nudges; the one-slot
+// channel coalesces the nudges that arrive during an fsync into the one
+// flush that follows it.
 func (l *Log) nudge() {
 	select {
 	case l.flushCh <- struct{}{}:
@@ -475,12 +465,6 @@ func (l *Log) poison(err error) {
 // rolls and snapshots happen (the locksafe analyzer enforces this).
 func (l *Log) run() {
 	defer close(l.done)
-	var tickC <-chan time.Time
-	if l.opts.SyncInterval > 0 {
-		t := time.NewTicker(l.opts.SyncInterval)
-		defer t.Stop()
-		tickC = t.C
-	}
 	for {
 		select {
 		case <-l.killCh:
@@ -490,8 +474,6 @@ func (l *Log) run() {
 			l.flushOnce()
 			return
 		case <-l.flushCh:
-			l.flushOnce()
-		case <-tickC:
 			l.flushOnce()
 		case done := <-l.snapCh:
 			l.flushOnce()

@@ -65,39 +65,50 @@ func sameState(t *testing.T, want, got *storage.StoreState, label string) {
 }
 
 // TestGroupCommitSingleFsync checks the core group-commit property: N
-// commits enqueued while the committer is idle are made durable by ONE
-// flush and one fsync, observed via the batch-size histogram.
+// commits appended while one fsync is held are released by exactly one
+// following fsync, observed via the batch-size histogram.
 func TestGroupCommitSingleFsync(t *testing.T) {
-	fs := NewMemFS()
+	fs := newGateFS()
 	col := &metrics.Collector{}
-	// Hour-long interval and huge batch: nothing flushes until the Sync
-	// barrier nudges the committer.
-	store, l := openTest(t, fs, Options{SyncInterval: time.Hour, Collector: col})
+	store, l := openTest(t, fs, Options{Collector: col})
 	mustCreate(t, store, 1, 100)
 	before := col.WALBatchSnapshot()
 
+	first, release := holdInflight(t, fs, store, l, 1, 1, 100)
 	const n = 32
-	acks := make([]storage.Ack, n)
-	for i := 0; i < n; i++ {
-		acks[i] = logWrite(t, store, l, core.TxnID(i+1), 1, core.Value(100+i), tsgen.Timestamp(i+1), 0, 1)
+	acks := []storage.Ack{first}
+	for i := 2; i <= n+1; i++ {
+		acks = append(acks, logWrite(t, store, l, core.TxnID(i), 1, core.Value(100+i), tsgen.Timestamp(i), 0, 1))
 	}
-	if err := l.Sync(); err != nil {
-		t.Fatalf("Sync: %v", err)
-	}
+	release()
 	for i, a := range acks {
 		if err := a.Wait(); err != nil {
 			t.Fatalf("ack %d: %v", i, err)
 		}
 	}
 	batches := col.WALBatchSnapshot().Sub(before)
-	if batches.Count != 1 {
-		t.Fatalf("expected one batch flush, got %d", batches.Count)
-	}
-	if batches.Sum < n {
-		t.Fatalf("batch covered %d acks, want >= %d", batches.Sum, n)
+	if batches.Count != 2 || batches.Sum != n+1 {
+		t.Fatalf("%d flushes covered %d records, want 2 flushes (the held one, then all %d behind it) covering %d",
+			batches.Count, batches.Sum, n, n+1)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
+	}
+}
+
+// TestLoneCommitNeedsNoTimer checks that group commit is self-clocked: a
+// lone commit on an idle log is flushed at once, with no Sync barrier,
+// even when the interval option names an hour.
+func TestLoneCommitNeedsNoTimer(t *testing.T) {
+	store, l := openTest(t, NewMemFS(), Options{SyncInterval: time.Hour})
+	defer l.Close()
+	mustCreate(t, store, 1, 10)
+	a := logWrite(t, store, l, 1, 1, 11, 1, 0, 0)
+	if !resolved(a, 5*time.Second) {
+		t.Fatal("a lone commit on an idle log waited for a timer")
+	}
+	if err := a.Wait(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -130,7 +141,7 @@ func TestPerAppendFsync(t *testing.T) {
 // checks replay reproduces the final store exactly.
 func TestConcurrentCommitsReplay(t *testing.T) {
 	fs := NewMemFS()
-	store, l := openTest(t, fs, Options{SyncInterval: 200 * time.Microsecond})
+	store, l := openTest(t, fs, Options{})
 	const objects = 8
 	for id := core.ObjectID(1); id <= objects; id++ {
 		mustCreate(t, store, id, core.Value(1000*int64(id)))
@@ -358,17 +369,19 @@ func TestClosedLogRejectsAppends(t *testing.T) {
 	}
 }
 
-// TestKillFailsPendingAcks checks Kill resolves in-flight acks with
-// ErrLogKilled without flushing.
+// TestKillFailsPendingAcks checks Kill resolves pending acks with
+// ErrLogKilled without flushing them. The batch already in its fsync
+// when the kill lands completes: only what queued behind it is lost.
 func TestKillFailsPendingAcks(t *testing.T) {
-	fs := NewMemFS()
-	store, l := openTest(t, fs, Options{SyncInterval: time.Hour})
+	fs := newGateFS()
+	store, l := openTest(t, fs, Options{})
 	mustCreate(t, store, 1, 10)
-	if err := l.Sync(); err != nil { // flush the create
-		t.Fatalf("Sync: %v", err)
+	held, release := holdInflight(t, fs, store, l, 1, 1, 10)
+	a := logWrite(t, store, l, 2, 1, 99, 2, 0, 0)
+	killHeld(t, l, release)
+	if err := held.Wait(); err != nil {
+		t.Fatalf("in-flight ack after Kill = %v, want nil", err)
 	}
-	a := logWrite(t, store, l, 1, 1, 99, 1, 0, 0)
-	l.Kill()
 	if err := a.Wait(); err != ErrLogKilled {
 		t.Fatalf("pending ack after Kill = %v, want ErrLogKilled", err)
 	}
@@ -378,8 +391,8 @@ func TestKillFailsPendingAcks(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Replay: %v", err)
 	}
-	if info.Commits != 0 {
-		t.Fatalf("killed batch leaked %d commits into the log", info.Commits)
+	if info.Commits != 1 {
+		t.Fatalf("replayed %d commits, want only the in-flight one", info.Commits)
 	}
 	o, err := replayed.Get(1)
 	if err != nil {
