@@ -2,7 +2,6 @@ package client
 
 import (
 	"fmt"
-	"time"
 
 	"github.com/epsilondb/epsilondb/internal/core"
 	"github.com/epsilondb/epsilondb/internal/wire"
@@ -113,7 +112,14 @@ func (c *Client) Batch(reqs []wire.Message) ([]BatchResult, error) {
 // until the whole frame's replies return, so under heavy conflict the
 // per-op RunProgram wastes less work per abort. The open-loop load
 // generator measures exactly this trade.
+//
+// On a client without pipelining it is RunProgram: a synchronous Batch
+// runs every op even after one aborts, and each op past the abort is a
+// wasted round trip answered with unknown-txn.
 func (c *Client) RunProgramBatched(p *core.Program, batchSize int) (*Result, error) {
+	if c.pipe == nil {
+		return c.RunProgram(p)
+	}
 	t, err := c.Begin(p.Kind, p.Bounds)
 	if err != nil {
 		return nil, err
@@ -186,21 +192,5 @@ scan:
 // per the client's Backoff schedule between attempts. maxAttempts caps
 // retries; zero means unlimited.
 func (c *Client) RunRetryBatched(p *core.Program, batchSize, maxAttempts int) (*Result, int, error) {
-	attempts := 0
-	for {
-		attempts++
-		res, err := c.RunProgramBatched(p, batchSize)
-		if err == nil {
-			return res, attempts, nil
-		}
-		if _, isAbort := IsAbort(err); !isAbort {
-			return nil, attempts, err
-		}
-		if maxAttempts > 0 && attempts >= maxAttempts {
-			return nil, attempts, err
-		}
-		if d := c.jitterDelay(attempts); d > 0 {
-			time.Sleep(d)
-		}
-	}
+	return c.retry(maxAttempts, func() (*Result, error) { return c.RunProgramBatched(p, batchSize) })
 }

@@ -519,10 +519,19 @@ func runOps(t *Txn, p *core.Program) (*Result, error) {
 // abort climb into a hot loop where every client's resubmission is
 // instantly late again.
 func (c *Client) RunRetry(p *core.Program, maxAttempts int) (*Result, int, error) {
+	return c.retry(maxAttempts, func() (*Result, error) { return c.RunProgram(p) })
+}
+
+// retry is the one retry loop behind RunRetry, RunRetryBatched and
+// Router.RunRetry: it runs attempt until it commits, returns an error
+// that is not an abort, or has been tried maxAttempts times (zero means
+// unlimited), sleeping per this client's Backoff schedule after every
+// abort.
+func (c *Client) retry(maxAttempts int, attempt func() (*Result, error)) (*Result, int, error) {
 	attempts := 0
 	for {
 		attempts++
-		res, err := c.RunProgram(p)
+		res, err := attempt()
 		if err == nil {
 			return res, attempts, nil
 		}

@@ -2,7 +2,6 @@ package client
 
 import (
 	"sync/atomic"
-	"time"
 
 	"github.com/epsilondb/epsilondb/internal/core"
 )
@@ -17,6 +16,14 @@ import (
 // typed redirect. A replica that fails outright — connection broken,
 // client closed — is not fatal either; the query fails over to the
 // primary, which can always serve it.
+//
+// Every program travels whole, on whichever server runs it: Begin, then
+// one Batch frame carrying all its ops and the Commit (RunProgramBatched
+// with no frame limit), so an attempt costs two round trips however many
+// ops it has. No option selects per-op shipping: a Router only ever runs
+// a core.Program, every op of which is known before the first frame is
+// sent. Interactive transactions, whose next op depends on the last
+// reply, use Client.Begin and Txn directly.
 type Router struct {
 	primary  *Client
 	replicas []*Client
@@ -71,9 +78,9 @@ func (r *Router) pick() *Client {
 func (r *Router) RunProgram(p *core.Program) (*Result, error) {
 	if !r.routable(p) {
 		r.primaryRuns.Add(1)
-		return r.primary.RunProgram(p)
+		return r.primary.RunProgramBatched(p, 0)
 	}
-	res, err := r.pick().RunProgram(p)
+	res, err := r.pick().RunProgramBatched(p, 0)
 	switch {
 	case err == nil:
 		r.replicaRuns.Add(1)
@@ -88,7 +95,7 @@ func (r *Router) RunProgram(p *core.Program) (*Result, error) {
 		r.failovers.Add(1)
 	}
 	r.primaryRuns.Add(1)
-	return r.primary.RunProgram(p)
+	return r.primary.RunProgramBatched(p, 0)
 }
 
 // RunRetry executes a program to completion through the router,
@@ -96,23 +103,7 @@ func (r *Router) RunProgram(p *core.Program) (*Result, error) {
 // per the primary client's backoff schedule, mirroring Client.RunRetry.
 // maxAttempts caps retries; zero means unlimited.
 func (r *Router) RunRetry(p *core.Program, maxAttempts int) (*Result, int, error) {
-	attempts := 0
-	for {
-		attempts++
-		res, err := r.RunProgram(p)
-		if err == nil {
-			return res, attempts, nil
-		}
-		if _, isAbort := IsAbort(err); !isAbort {
-			return nil, attempts, err
-		}
-		if maxAttempts > 0 && attempts >= maxAttempts {
-			return nil, attempts, err
-		}
-		if d := r.primary.jitterDelay(attempts); d > 0 {
-			time.Sleep(d)
-		}
-	}
+	return r.primary.retry(maxAttempts, func() (*Result, error) { return r.RunProgram(p) })
 }
 
 // RouterStats counts where the router sent work.

@@ -236,7 +236,13 @@ func (f *Follower) ReadView(obj core.ObjectID, queryTS tsgen.Timestamp) (View, e
 	case queryTS == v.TS:
 		// The last applied write is the query's own proper version.
 	default:
-		proper, _ := o.FindProper(queryTS)
+		proper, exact := o.FindProper(queryTS)
+		if !exact {
+			// The proper version fell out of the K-deep history, as on
+			// the primary's case-1 path; the charge is against the
+			// oldest retained version.
+			f.store.NotedProperMiss()
+		}
 		v.Charge = absDist(v.Value, proper)
 	}
 	o.Unlock()

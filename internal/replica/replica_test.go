@@ -255,6 +255,43 @@ func TestEngineAbortsWhenLagExceedsImportLimit(t *testing.T) {
 	}
 }
 
+// TestFollowerCountsProperMissAtDepthOne: a follower retaining one
+// version per object (K = 1) cannot find the proper version of a query
+// older than its last applied write. That inexact lookup is a proper
+// miss, counted on the follower's store as the primary counts its own,
+// so the Stats probe and /debug/esr report it.
+func TestFollowerCountsProperMissAtDepthOne(t *testing.T) {
+	p := newPrimary(t)
+	p.create(t, 1, 100)
+
+	f := NewFollower(storage.Config{HistoryDepth: 1})
+	drain := p.follow(t, f)
+	eng := NewEngine(f, Options{Collector: &metrics.Collector{}})
+
+	p.update(t, 1, 130)
+	qts := p.ts() // the query orders between the two writes
+	p.update(t, 1, 160)
+	drain()
+
+	txn, err := eng.Begin(core.Query, qts, core.BoundSpec{Transaction: 100})
+	if err != nil {
+		t.Fatalf("Begin: %v", err)
+	}
+	v, err := eng.Read(txn, 1)
+	if err != nil {
+		t.Fatalf("Read: %v", err)
+	}
+	if v != 160 {
+		t.Fatalf("read %d, want the only retained version 160", v)
+	}
+	if err := eng.Commit(txn); err != nil {
+		t.Fatalf("Commit: %v", err)
+	}
+	if got := eng.Store().ProperMisses(); got != 1 {
+		t.Errorf("proper misses = %d, want 1 for the evicted proper version", got)
+	}
+}
+
 // TestReplicaLagChargeProperty is the lag-charging property test: for
 // random schedules of primary updates and follower holds, a query ET's
 // accumulated import from replica reads never exceeds its TIL, and the
