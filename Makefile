@@ -1,12 +1,18 @@
 GO ?= go
 
-.PHONY: build test lint staticcheck check bench bench-all benchmark soak crash-soak replica-soak certify
+.PHONY: build test fmtcheck lint staticcheck check bench bench-all benchmark soak crash-soak replica-soak certify
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# fmtcheck fails when any Go file in the tree, the benchmark module and
+# analyzer goldens included, is not gofmt-formatted.
+fmtcheck:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
+		echo "gofmt -l lists unformatted files:"; echo "$$out"; exit 1; fi
 
 # lint runs the repo's custom analyzer suite (DESIGN.md, "Static
 # invariants") in whole-program mode, so the cross-package checks
@@ -28,6 +34,7 @@ staticcheck:
 
 # check is the documented pre-merge gate.
 check:
+	$(MAKE) fmtcheck
 	$(GO) vet ./...
 	$(MAKE) lint
 	$(MAKE) staticcheck

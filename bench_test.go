@@ -185,25 +185,6 @@ func BenchmarkFig13OpsPerTxnVsOIL(b *testing.B) {
 	b.ReportMetric(seriesLast(f.Series[2]), "ops/txn-highTIL-oilmax")
 }
 
-// BenchmarkAblationCCProtocols compares epsilon-TO against strict 2PL
-// and MVTO (ablation A1).
-func BenchmarkAblationCCProtocols(b *testing.B) {
-	protocols := []experiment.Protocol{
-		experiment.ProtocolTO, experiment.ProtocolTwoPL, experiment.ProtocolMVTO,
-	}
-	var f experiment.Figure
-	for i := 0; i < b.N; i++ {
-		var err error
-		f, _, err = experiment.RunCCComparison(benchConfig(), []int{1, 2, 4, 6}, workload.LevelHigh, protocols, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, se := range f.Series {
-		b.ReportMetric(seriesMax(se), "peak-tput-"+se.Name)
-	}
-}
-
 // BenchmarkAblationHistoryDepth sweeps the per-object write-history
 // depth K (ablation A2, §5.1's empirical K=20).
 func BenchmarkAblationHistoryDepth(b *testing.B) {

@@ -1,25 +1,6 @@
 package main
 
-import (
-	"github.com/epsilondb/epsilondb/internal/experiment"
-	"github.com/epsilondb/epsilondb/internal/workload"
-)
-
-// ccAblation compares the ESR-TO engine against the serializable
-// baselines (strict 2PL, MVTO) across multiprogramming levels.
-func (r *runner) ccAblation() error {
-	protocols := []experiment.Protocol{
-		experiment.ProtocolTO, experiment.ProtocolTwoPL, experiment.ProtocolMVTO,
-	}
-	f, results, err := experiment.RunCCComparison(r.base, r.mpls(), workload.LevelHigh, protocols, r.progress)
-	if err != nil {
-		return err
-	}
-	if err := r.emit(f); err != nil {
-		return err
-	}
-	return r.emitCells(f.ID, results)
-}
+import "github.com/epsilondb/epsilondb/internal/experiment"
 
 // historyAblation sweeps the per-object write-history depth K.
 func (r *runner) historyAblation() error {

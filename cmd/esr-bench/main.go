@@ -46,7 +46,7 @@ import (
 
 func main() {
 	var (
-		fig        = flag.String("fig", "all", "figure to reproduce: 7, 8, 9, 10, 11, 12, 13, table, cc, hist, hier, or all")
+		fig        = flag.String("fig", "all", "figure to reproduce: 7, 8, 9, 10, 11, 12, 13, table, hist, hier, or all")
 		duration   = flag.Duration("duration", time.Second, "measurement window per cell")
 		warmup     = flag.Duration("warmup", 200*time.Millisecond, "warmup before each measurement")
 		opLatency  = flag.Duration("oplatency", time.Millisecond, "simulated per-operation server service time")
@@ -124,8 +124,6 @@ func main() {
 		err = r.tilSweep()
 	case "12", "13":
 		err = r.oilSweep(*fig)
-	case "cc":
-		err = r.ccAblation()
 	case "hist":
 		err = r.historyAblation()
 	case "hier":
@@ -314,9 +312,6 @@ func (r *runner) all() error {
 		return err
 	}
 	if err := r.oilSweep("all"); err != nil {
-		return err
-	}
-	if err := r.ccAblation(); err != nil {
 		return err
 	}
 	if err := r.historyAblation(); err != nil {

@@ -10,9 +10,9 @@
 // With no file arguments the trace is read from stdin. -zero runs the
 // strict mode instead: the history must be exactly conflict
 // serializable with no reads of never-committed versions, the ε=0
-// special case — what a serializable baseline (2PL, MVTO, or a
-// zero-bound TO run) must satisfy. -json emits the full report per
-// trace for CI consumption.
+// special case — what a serializable baseline (a zero-bound TO run)
+// must satisfy. -json emits the full report per trace for CI
+// consumption.
 //
 // -merge certifies all inputs as ONE history instead of one verdict
 // per file. A replica deployment records one trace per process

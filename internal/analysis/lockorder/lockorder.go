@@ -1,6 +1,6 @@
 // Package lockorder is the flow-sensitive lock discipline analyzer. It
-// runs over the engine and storage packages (tso, twopl, mvto, storage,
-// txnshard, wal) plus the pipelined client (client), infers the partial
+// runs over the engine and storage packages (tso, storage, txnshard,
+// wal) plus the pipelined client (client), infers the partial
 // order in which their mutexes are acquired, and enforces three rules:
 //
 //  1. Ordering: every pair of locks must be acquired in one consistent
@@ -12,11 +12,8 @@
 //  2. No blocking under a lock: a channel receive, a select without a
 //     default, a range over a channel, or a Wait() call (storage.Ack,
 //     sync.WaitGroup) must not execute while any engine lock is held.
-//     This is the checkable form of two commit-path contracts: the WAL
-//     group-commit ack may only be awaited after twopl releases its lock
-//     footprint (release-before-ack), and the lock manager hands a
-//     request to `<-req.granted` only after dropping Engine.mu. The
-//     analysis is per-path, so releasing before the receive satisfies it.
+//     The analysis is per-path, so releasing before the receive
+//     satisfies it.
 //
 //  3. Publish under the log mutex: in the engine packages, the commit
 //     publish step (a publishCommit method, or a function value handed to
@@ -58,13 +55,12 @@ var Analyzer = &analysis.Analyzer{
 // close(done), never a channel receive or Wait under pipe.mu or the
 // per-group callGroup.mu.
 var scopePkgs = map[string]bool{
-	"tso": true, "twopl": true, "mvto": true,
-	"storage": true, "txnshard": true, "wal": true,
+	"tso": true, "storage": true, "txnshard": true, "wal": true,
 	"client": true,
 }
 
-// enginePkgs are the packages where the publish contract applies.
-var enginePkgs = map[string]bool{"tso": true, "twopl": true, "mvto": true}
+// enginePkg is the package where the publish contract applies.
+const enginePkg = "tso"
 
 // logFuncs are the durability entry points whose callback arguments run
 // under the WAL's log mutex.
@@ -79,16 +75,16 @@ type fact struct {
 	// held maps lock id -> acquisition position (may-analysis: union).
 	held map[string]token.Pos
 	// durNil is true when this path established durability == nil;
-	// logErr when it established a LogCommit error != nil; released when
-	// releaseAll has run. All three are must-facts (join = AND).
-	durNil, logErr, released bool
+	// logErr when it established a LogCommit error != nil. Both are
+	// must-facts (join = AND).
+	durNil, logErr bool
 }
 
 func newFact() *fact { return &fact{held: map[string]token.Pos{}} }
 
 func (f *fact) clone() *fact {
 	g := &fact{held: make(map[string]token.Pos, len(f.held)),
-		durNil: f.durNil, logErr: f.logErr, released: f.released}
+		durNil: f.durNil, logErr: f.logErr}
 	for k, v := range f.held {
 		g.held[k] = v
 	}
@@ -112,7 +108,6 @@ func (f *fact) join(src *fact) bool {
 	}
 	and(&f.durNil, src.durNil)
 	and(&f.logErr, src.logErr)
-	and(&f.released, src.released)
 	return changed
 }
 
@@ -125,11 +120,6 @@ type funcInfo struct {
 	logErrVars map[types.Object]bool
 	// seeded are the literals passed as callbacks to the log functions.
 	seeded map[*ast.FuncLit]bool
-	// callsReleaseAll scopes the release-before-ack rule: only a
-	// function that manages the lock footprint itself (calls releaseAll
-	// somewhere) must order the release before its ack waits. Helpers
-	// handed an ack after the caller released are out of scope.
-	callsReleaseAll bool
 	// commRecv marks receives that are select communication clauses;
 	// the select header is the blocking point reported, not the clause.
 	commRecv map[ast.Node]bool
@@ -362,24 +352,16 @@ func (c *checker) call(pkg *analysis.Package, call *ast.CallExpr, f *fact, fi *f
 		return
 	}
 
-	name := calleeName(call)
-	if name == "releaseAll" {
-		f.released = true
-	}
-
 	if !report {
 		return
 	}
 
 	if isWaitCall(pkg, call) {
-		c.reportBlocked(pkg, f, fi, call.Pos(), name+"() wait")
-		if pkg.Types.Name() == "twopl" && fi.callsReleaseAll && isAckWait(pkg, call) && !f.released {
-			c.pass.Reportf(call.Pos(), "in %s: durability ack awaited before releaseAll: 2PL locks must be released before waiting on the group-commit fsync", fi.name)
-		}
+		c.reportBlocked(pkg, f, fi, call.Pos(), calleeName(call)+"() wait")
 		return
 	}
 
-	if enginePkgs[pkg.Types.Name()] && c.isPublisher(pkg, call, fi) && !exempt && !f.durNil && !f.logErr {
+	if pkg.Types.Name() == enginePkg && c.isPublisher(pkg, call, fi) && !exempt && !f.durNil && !f.logErr {
 		c.pass.Reportf(call.Pos(), "in %s: commit publish outside the durability log callback: pass it to LogCommit (it runs under the log mutex) or guard with dur == nil / LogCommit error != nil", fi.name)
 	}
 
@@ -527,9 +509,6 @@ func gatherFuncInfo(pkg *analysis.Package, fn *ast.FuncDecl) *funcInfo {
 			}
 		case *ast.CallExpr:
 			name := calleeName(n)
-			if name == "releaseAll" {
-				fi.callsReleaseAll = true
-			}
 			if !logFuncs[name] {
 				return true
 			}
@@ -743,24 +722,6 @@ func isWaitCall(pkg *analysis.Package, call *ast.CallExpr) bool {
 		return isFunc
 	}
 	return false
-}
-
-// isAckWait narrows isWaitCall to the storage.Ack interface.
-func isAckWait(pkg *analysis.Package, call *ast.CallExpr) bool {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	s, ok := pkg.Info.Selections[sel]
-	if !ok {
-		return false
-	}
-	named := namedOf(s.Recv())
-	if named == nil {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Name() == "Ack" && obj.Pkg() != nil && obj.Pkg().Name() == "storage"
 }
 
 // isDurabilityExpr reports whether e has the storage.Durability interface

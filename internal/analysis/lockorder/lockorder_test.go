@@ -8,5 +8,5 @@ import (
 )
 
 func TestLockorder(t *testing.T) {
-	analysistest.Run(t, "testdata", lockorder.Analyzer, "storage", "wal", "tso", "twopl")
+	analysistest.Run(t, "testdata", lockorder.Analyzer, "storage", "wal", "tso")
 }

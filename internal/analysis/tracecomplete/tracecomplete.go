@@ -1,4 +1,4 @@
-// Package tracecomplete verifies that the engines' trace streams are
+// Package tracecomplete verifies that the engine's trace stream is
 // complete: every transaction state transition — begin, read, write,
 // commit, abort — emits its trace event before the engine returns control
 // (and thus before the client is acked). The offline epsilon-
@@ -7,10 +7,10 @@
 // transition that commits state without tracing it silently blinds the
 // oracle; this analyzer makes the completeness obligation static.
 //
-// The transition markers are the calls every engine already makes to its
+// The transition markers are the calls the engine already makes to its
 // metrics *Collector — Begin, ReadExecuted, WriteExecuted, Commit, Abort
 // — because each marks exactly one successful state transition. For each
-// marker call in an engine package (tso, twopl, mvto) the analyzer
+// marker call in the engine package (tso) the analyzer
 // demands that on every control-flow path through the function, a trace
 // emission of the corresponding event kind (EvBegin, EvRead, EvWrite,
 // EvCommit, EvAbort) happens either before the marker or between the
@@ -46,12 +46,8 @@ var Analyzer = &analysis.Analyzer{
 	Run:          run,
 }
 
-// enginePkgs are the package names whose transitions feed the oracle.
-var enginePkgs = map[string]bool{
-	"tso":   true,
-	"twopl": true,
-	"mvto":  true,
-}
+// enginePkg is the package whose transitions feed the oracle.
+const enginePkg = "tso"
 
 // markerEvent maps a Collector transition method to the event kind its
 // trace emission must carry.
@@ -111,7 +107,7 @@ func run(pass *analysis.Pass) error {
 	emitters := buildEmitters(g)
 
 	for _, pkg := range pass.Program.Packages {
-		if !enginePkgs[pkg.Types.Name()] {
+		if pkg.Types.Name() != enginePkg {
 			continue
 		}
 		for _, file := range pkg.Files {

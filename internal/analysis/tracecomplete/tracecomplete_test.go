@@ -8,5 +8,5 @@ import (
 )
 
 func TestTraceComplete(t *testing.T) {
-	analysistest.Run(t, "testdata", tracecomplete.Analyzer, "tso", "twopl", "mvto")
+	analysistest.Run(t, "testdata", tracecomplete.Analyzer, "tso")
 }

@@ -22,8 +22,6 @@ package core
 import (
 	"fmt"
 	"math"
-
-	"github.com/epsilondb/epsilondb/internal/metricspace"
 )
 
 // ObjectID names a database object. The prototype's objects are numbered
@@ -31,16 +29,36 @@ import (
 // numeric ids).
 type ObjectID uint32
 
-// Value is the state of a single object; see metricspace.Value.
-type Value = metricspace.Value
+// Value is the state of a single object. The prototype stores integer
+// amounts (balances, seat counts); a 64-bit integer keeps distance
+// arithmetic exact.
+type Value = int64
 
-// Distance is a magnitude of inconsistency; see metricspace.Distance.
-type Distance = metricspace.Distance
+// Distance is a magnitude of inconsistency between two states. It is
+// never negative.
+type Distance = int64
 
 // NoLimit is the sentinel for an unbounded inconsistency limit. Setting
 // every limit to NoLimit admits any epsilon behaviour; setting every
 // limit to zero reduces ESR to classic serializability.
 const NoLimit Distance = math.MaxInt64
+
+// Dist is the distance between two states: |u − v|, the one-dimensional
+// metric the paper charges (Kamath & Ramamritham 1993, §2). Because it
+// obeys the triangle inequality, a transaction's inconsistency can be
+// accumulated one operation at a time. The difference is taken in uint64
+// and saturates at NoLimit, so values more than MaxInt64 apart are at
+// distance NoLimit instead of wrapping to a negative charge.
+func Dist(u, v Value) Distance {
+	d := uint64(u) - uint64(v)
+	if u < v {
+		d = uint64(v) - uint64(u)
+	}
+	if d > uint64(NoLimit) {
+		return NoLimit
+	}
+	return Distance(d)
+}
 
 // Kind classifies an epsilon transaction. The paper restricts attention
 // to query ETs (read-only, may import inconsistency) running against

@@ -31,11 +31,11 @@
 //  4. Cross-check the accounting: the per-operation charges must sum to
 //     the final inconsistency on the commit event, which must fit the
 //     transaction's root bound (TIL/TEL from the begin event).
-//  5. Zero-epsilon transactions (root bound 0, including everything the
-//     serializable baseline engines emit) must have no relaxed reads at
-//     all, so a history whose transactions are all zero-epsilon is
-//     certified exactly conflict-serializable (CheckSerializable is the
-//     strict mode for that special case).
+//  5. Zero-epsilon transactions (root bound 0, the engine's serializable
+//     baseline) must have no relaxed reads at all, so a history whose
+//     transactions are all zero-epsilon is certified exactly
+//     conflict-serializable (CheckSerializable is the strict mode for
+//     that special case).
 //
 // Soundness depends on trace completeness: a commit path that skips its
 // trace event is invisible here. The tracecomplete analyzer
@@ -585,10 +585,18 @@ func findCycle(nodes []core.TxnID, edges map[core.TxnID]map[core.TxnID]bool, ind
 	return append(cycle, cycleStart)
 }
 
-// absDist is the Absolute metric: |u − v| as a distance.
+// absDist is |u − v| as a distance, saturating at core.NoLimit like
+// core.Dist. It is a deliberate copy, not a call to core.Dist: the
+// oracle must re-derive charges independently of the engine, so that a
+// defect in the engine's distance (say, one that halves it) is refuted
+// here instead of blinding the engine and the oracle at once.
 func absDist(u, v core.Value) core.Distance {
-	if u >= v {
-		return u - v
+	d := uint64(u) - uint64(v)
+	if u < v {
+		d = uint64(v) - uint64(u)
 	}
-	return v - u
+	if d > uint64(core.NoLimit) {
+		return core.NoLimit
+	}
+	return core.Distance(d)
 }

@@ -2,6 +2,7 @@ package esrcheck
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
@@ -143,6 +144,21 @@ func TestRecomputedDivergenceOverObjectImportLimit(t *testing.T) {
 	}
 	rep := Check(events)
 	wantViolation(t, rep, "object-import")
+}
+
+func TestWrappedDivergenceRefuted(t *testing.T) {
+	// The true divergence between MinInt64 and MaxInt64 overflows int64;
+	// a read charged the wrapped difference 1 is an under-charge.
+	events := []tso.Event{
+		ubegin(1, 10, 0), uwrite(1, 10, 1, math.MaxInt64, 0, 0), ucommit(1, 10, 0, 0),
+		ubegin(3, 20, 0), uwrite(3, 20, 1, math.MinInt64, 0, 0), ucommit(3, 20, 0, 0),
+		begin(2, 15, 50), qread(2, 15, 1, 20, math.MinInt64, 1, 50, false), commit(2, 15, 1, 50),
+	}
+	rep := Check(events)
+	wantViolation(t, rep, "object-import")
+	if rep.MaxDistance != core.NoLimit {
+		t.Errorf("max distance = %d, want NoLimit", rep.MaxDistance)
+	}
 }
 
 func TestAccountingMismatchRefuted(t *testing.T) {

@@ -36,19 +36,19 @@ type Trace struct {
 // are int64/uint64 so NoLimit (2^63−1) survives the round trip exactly —
 // decoding through float64 would corrupt it.
 type jsonEvent struct {
-	Ev     string `json:"ev"`
-	Schema string `json:"schema"`
-	Txn    uint64 `json:"txn"`
-	Kind   string `json:"kind"`
-	AtNs   int64  `json:"at_ns"`
-	TS     uint64 `json:"ts"`
-	Obj    uint32 `json:"obj"`
-	Val    int64  `json:"val"`
-	Ver    uint64 `json:"ver"`
-	Inc    int64  `json:"inc"`
-	Lim     int64 `json:"lim"`
-	Dirty   bool  `json:"dirty"`
-	Replica bool  `json:"replica"`
+	Ev      string `json:"ev"`
+	Schema  string `json:"schema"`
+	Txn     uint64 `json:"txn"`
+	Kind    string `json:"kind"`
+	AtNs    int64  `json:"at_ns"`
+	TS      uint64 `json:"ts"`
+	Obj     uint32 `json:"obj"`
+	Val     int64  `json:"val"`
+	Ver     uint64 `json:"ver"`
+	Inc     int64  `json:"inc"`
+	Lim     int64  `json:"lim"`
+	Dirty   bool   `json:"dirty"`
+	Replica bool   `json:"replica"`
 }
 
 // ReadTrace decodes a JSONL trace stream.

@@ -49,48 +49,6 @@ func RunHistoryAblation(base Config, depths []int, progress func(string)) (Figur
 	}, results, nil
 }
 
-// RunCCComparison compares the registered concurrency-control protocols
-// across multiprogramming levels at the given epsilon level (the ESR
-// bounds only act on the TO engine; 2PL and MVTO are serializable
-// baselines). Unregistered protocols are skipped.
-func RunCCComparison(base Config, mpls []int, level workload.Level, protocols []Protocol, progress func(string)) (Figure, []Result, error) {
-	base.Workload.TIL = level.TIL
-	base.Workload.TEL = level.TEL
-	f := Figure{
-		ID:     "abl-cc",
-		Title:  fmt.Sprintf("Ablation: concurrency control protocols (%s bounds)", level.Name),
-		XLabel: "Multiprogramming Level",
-		YLabel: "Closed-loop throughput (txn/s)",
-	}
-	var registered []Protocol
-	var cells []cell
-	for _, p := range protocols {
-		if _, ok := protocolRegistry[p]; !ok {
-			continue
-		}
-		registered = append(registered, p)
-		for _, mpl := range mpls {
-			cfg := base
-			cfg.MPL = mpl
-			cfg.Protocol = p
-			cells = append(cells, cell{label: fmt.Sprintf("%-5s mpl=%d", p, mpl), cfg: cfg})
-		}
-	}
-	results, err := runCellsInterleaved(cells, progress)
-	if err != nil {
-		return Figure{}, nil, fmt.Errorf("cc ablation: %w", err)
-	}
-	for i, p := range registered {
-		se := Series{Name: string(p)}
-		for j, mpl := range mpls {
-			se.X = append(se.X, float64(mpl))
-			se.Y = append(se.Y, results[i*len(mpls)+j].Throughput)
-		}
-		f.Series = append(f.Series, se)
-	}
-	return f, results, nil
-}
-
 // RunHierarchyOverhead measures the §3.1 caveat that "hierarchical
 // specification and control does not come free of charge": the CPU cost
 // of the bottom-up Admit walk as hierarchy depth grows, in nanoseconds

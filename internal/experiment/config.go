@@ -26,21 +26,6 @@ import (
 	"github.com/epsilondb/epsilondb/internal/workload"
 )
 
-// Protocol selects the concurrency control under test.
-type Protocol string
-
-const (
-	// ProtocolTO is the paper's engine: timestamp ordering with the ESR
-	// relaxations (SR when all bounds are zero).
-	ProtocolTO Protocol = "tso"
-	// ProtocolTwoPL is the strict two-phase-locking baseline the paper
-	// deliberately avoided (ablation A1).
-	ProtocolTwoPL Protocol = "2pl"
-	// ProtocolMVTO is multi-version timestamp ordering, which §5.1
-	// contrasts with the bounded write history (ablation A1).
-	ProtocolMVTO Protocol = "mvto"
-)
-
 // Config is one experiment cell.
 type Config struct {
 	// MPL is the multiprogramming level: the number of client goroutines.
@@ -77,8 +62,6 @@ type Config struct {
 	HistoryDepth int
 	// Seed makes the database load and workloads reproducible.
 	Seed int64
-	// Protocol selects the concurrency control; empty means ProtocolTO.
-	Protocol Protocol
 	// MaxAttempts caps retries per transaction as a hang guard; zero
 	// means 10,000.
 	MaxAttempts int
@@ -114,7 +97,6 @@ func DefaultConfig(level workload.Level) Config {
 		ServerThreads: 3,
 		HistoryDepth:  20,
 		Seed:          1,
-		Protocol:      ProtocolTO,
 	}
 }
 
@@ -125,11 +107,6 @@ func (c Config) Validate() error {
 	}
 	if c.Duration <= 0 {
 		return fmt.Errorf("experiment: Duration must be positive, got %v", c.Duration)
-	}
-	switch c.Protocol {
-	case "", ProtocolTO, ProtocolTwoPL, ProtocolMVTO:
-	default:
-		return fmt.Errorf("experiment: unknown protocol %q", c.Protocol)
 	}
 	return c.Workload.Validate()
 }
@@ -163,7 +140,7 @@ type Result struct {
 	// merged) over the measurement window, on the run's timeline —
 	// virtual durations for vclock runs, wall durations for -realtime.
 	// WaitP* and CommitP* cover the strict-ordering wait and commit
-	// paths. All are zero for engines that do not record latencies.
+	// paths.
 	OpP50, OpP95, OpP99             time.Duration
 	WaitP50, WaitP95, WaitP99       time.Duration
 	CommitP50, CommitP95, CommitP99 time.Duration

@@ -34,11 +34,6 @@ func TestConfigValidate(t *testing.T) {
 		t.Error("zero duration accepted")
 	}
 	bad = good
-	bad.Protocol = "vaporware"
-	if err := bad.Validate(); err == nil {
-		t.Error("unknown protocol accepted")
-	}
-	bad = good
 	bad.Workload.NumObjects = 0
 	if err := bad.Validate(); err == nil {
 		t.Error("invalid workload accepted")
@@ -86,14 +81,6 @@ func TestRunDeterministicOnVirtualTimeline(t *testing.T) {
 	}
 	if diff > a.Commits/10+2 {
 		t.Errorf("virtual runs diverged: %d vs %d commits", a.Commits, b.Commits)
-	}
-}
-
-func TestRunUnknownProtocol(t *testing.T) {
-	cfg := quickConfig(workload.LevelZero)
-	cfg.Protocol = Protocol("vaporware")
-	if _, err := Run(cfg); err == nil {
-		t.Error("unregistered protocol did not error")
 	}
 }
 
@@ -241,19 +228,6 @@ func TestRunHistoryAblation(t *testing.T) {
 	misses := f.Series[2]
 	if misses.Y[0] < misses.Y[1] {
 		t.Errorf("K=1 should miss at least as often as K=20: %v", misses.Y)
-	}
-}
-
-func TestRunCCComparisonSkipsUnregistered(t *testing.T) {
-	base := quickConfig(workload.LevelZero)
-	base.Duration = 100 * time.Millisecond
-	f, _, err := RunCCComparison(base, []int{1}, workload.LevelZero,
-		[]Protocol{ProtocolTO, Protocol("vaporware")}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(f.Series) != 1 || f.Series[0].Name != string(ProtocolTO) {
-		t.Errorf("series = %+v", f.Series)
 	}
 }
 

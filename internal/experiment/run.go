@@ -10,50 +10,12 @@ import (
 
 	"github.com/epsilondb/epsilondb/internal/core"
 	"github.com/epsilondb/epsilondb/internal/metrics"
-	"github.com/epsilondb/epsilondb/internal/mvto"
 	"github.com/epsilondb/epsilondb/internal/storage"
 	"github.com/epsilondb/epsilondb/internal/tsgen"
 	"github.com/epsilondb/epsilondb/internal/tso"
-	"github.com/epsilondb/epsilondb/internal/twopl"
 	"github.com/epsilondb/epsilondb/internal/vclock"
 	"github.com/epsilondb/epsilondb/internal/workload"
 )
-
-// Engine is the concurrency-control surface the harness drives. The
-// epsilon-TO engine implements it; the 2PL and MVTO baselines implement
-// the same surface for the ablation experiments.
-type Engine interface {
-	Begin(kind core.Kind, ts tsgen.Timestamp, spec core.BoundSpec) (core.TxnID, error)
-	Read(txn core.TxnID, obj core.ObjectID) (core.Value, error)
-	WriteDelta(txn core.TxnID, obj core.ObjectID, delta core.Value) (core.Value, error)
-	Commit(txn core.TxnID) error
-	Abort(txn core.TxnID) error
-}
-
-// engineBuilder constructs an Engine over a populated store. The parker
-// integrates the engine's internal waits with the harness timeline; now
-// reads that timeline, so latency histograms measure virtual durations on
-// the virtual clock and wall durations in -realtime runs. The registry is
-// extended by the baseline packages via RegisterProtocol.
-type engineBuilder func(store *storage.Store, col *metrics.Collector, parker tso.Parker, now func() time.Duration) Engine
-
-var protocolRegistry = map[Protocol]engineBuilder{
-	ProtocolTO: func(store *storage.Store, col *metrics.Collector, parker tso.Parker, now func() time.Duration) Engine {
-		return tso.NewEngine(store, tso.Options{Collector: col, Parker: parker, Now: now})
-	},
-	ProtocolTwoPL: func(store *storage.Store, col *metrics.Collector, parker tso.Parker, now func() time.Duration) Engine {
-		return twopl.NewEngine(store, col, parker)
-	},
-	ProtocolMVTO: func(store *storage.Store, col *metrics.Collector, parker tso.Parker, now func() time.Duration) Engine {
-		return mvto.NewEngine(store, col, parker)
-	},
-}
-
-// RegisterProtocol installs a baseline engine builder (used by the
-// ablation packages at init time through the harness's setup code).
-func RegisterProtocol(p Protocol, build func(store *storage.Store, col *metrics.Collector, parker tso.Parker, now func() time.Duration) Engine) {
-	protocolRegistry[p] = build
-}
 
 // Run executes one experiment cell: populate a database, start MPL
 // closed-loop clients, measure the counters over the configured window.
@@ -245,13 +207,6 @@ func runOnce(cfg Config) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
-	if cfg.Protocol == "" {
-		cfg.Protocol = ProtocolTO
-	}
-	build, ok := protocolRegistry[cfg.Protocol]
-	if !ok {
-		return Result{}, fmt.Errorf("experiment: protocol %q not registered", cfg.Protocol)
-	}
 	maxAttempts := cfg.MaxAttempts
 	if maxAttempts <= 0 {
 		maxAttempts = 10_000
@@ -274,7 +229,7 @@ func runOnce(cfg Config) (Result, error) {
 	}
 
 	col := &metrics.Collector{}
-	engine := build(store, col, timeline, timeline.Now)
+	engine := tso.NewEngine(store, tso.Options{Collector: col, Parker: timeline, Now: timeline.Now})
 	// latCol records client-perceived operation latencies — network,
 	// server queueing, service time, and engine waits together, measured
 	// on the run's timeline. It is separate from col because the TO
@@ -373,7 +328,7 @@ func runOnce(cfg Config) (Result, error) {
 // runClient is one closed-loop client: generate a transaction, submit it
 // operation by operation with the simulated per-operation latency, and
 // on abort resubmit with a fresh timestamp until it commits (§6).
-func runClient(e Engine, timeline vclock.Timeline, gen *tsgen.Generator, wl *workload.Generator, opLatency, netLatency time.Duration, jitter *rand.Rand, slots *vclock.Semaphore, maxAttempts int, latCol *metrics.Collector, stop <-chan struct{}) {
+func runClient(e *tso.Engine, timeline vclock.Timeline, gen *tsgen.Generator, wl *workload.Generator, opLatency, netLatency time.Duration, jitter *rand.Rand, slots *vclock.Semaphore, maxAttempts int, latCol *metrics.Collector, stop <-chan struct{}) {
 	for {
 		select {
 		case <-stop:
@@ -400,7 +355,7 @@ func runClient(e Engine, timeline vclock.Timeline, gen *tsgen.Generator, wl *wor
 // successful operation's client-perceived latency — network time, server
 // queueing, service time, and any engine wait — is recorded into latCol
 // on the run's timeline.
-func runAttempt(e Engine, timeline vclock.Timeline, gen *tsgen.Generator, p *core.Program, opLatency, netLatency time.Duration, jitter *rand.Rand, slots *vclock.Semaphore, latCol *metrics.Collector, stop <-chan struct{}) (ok, fatal bool) {
+func runAttempt(e *tso.Engine, timeline vclock.Timeline, gen *tsgen.Generator, p *core.Program, opLatency, netLatency time.Duration, jitter *rand.Rand, slots *vclock.Semaphore, latCol *metrics.Collector, stop <-chan struct{}) (ok, fatal bool) {
 	txn, err := e.Begin(p.Kind, gen.Next(), p.Bounds)
 	if err != nil {
 		return false, true

@@ -28,7 +28,6 @@ type Collector struct {
 	abortMissingObject atomic.Int64
 	abortExplicit      atomic.Int64
 	abortOther         atomic.Int64
-	abortDeadlock      atomic.Int64
 
 	readsExecuted  atomic.Int64
 	writesExecuted atomic.Int64
@@ -72,9 +71,6 @@ const (
 	AbortMissingObject
 	// AbortExplicit is a client-requested abort.
 	AbortExplicit
-	// AbortDeadlock is a deadlock-victim abort (used by the 2PL baseline;
-	// timestamp ordering never deadlocks).
-	AbortDeadlock
 	// AbortOther covers internal errors.
 	AbortOther
 
@@ -98,8 +94,6 @@ func (r AbortReason) String() string {
 		return "missing-object"
 	case AbortExplicit:
 		return "explicit"
-	case AbortDeadlock:
-		return "deadlock"
 	default:
 		return "other"
 	}
@@ -141,8 +135,6 @@ func (c *Collector) Abort(reason AbortReason, opsExecuted int64) {
 		c.abortMissingObject.Add(1)
 	case AbortExplicit:
 		c.abortExplicit.Add(1)
-	case AbortDeadlock:
-		c.abortDeadlock.Add(1)
 	default:
 		c.abortOther.Add(1)
 	}
@@ -255,7 +247,6 @@ type Snapshot struct {
 	AbortWaitTimeout   int64
 	AbortMissingObject int64
 	AbortExplicit      int64
-	AbortDeadlock      int64
 	AbortOther         int64
 
 	ReadsExecuted  int64
@@ -292,7 +283,6 @@ func (c *Collector) Snapshot() Snapshot {
 		AbortWaitTimeout:   c.abortWaitTimeout.Load(),
 		AbortMissingObject: c.abortMissingObject.Load(),
 		AbortExplicit:      c.abortExplicit.Load(),
-		AbortDeadlock:      c.abortDeadlock.Load(),
 		AbortOther:         c.abortOther.Load(),
 		ReadsExecuted:      c.readsExecuted.Load(),
 		WritesExecuted:     c.writesExecuted.Load(),
@@ -318,7 +308,6 @@ func (s Snapshot) AbortBreakdown() map[string]int64 {
 		AbortWaitTimeout:   s.AbortWaitTimeout,
 		AbortMissingObject: s.AbortMissingObject,
 		AbortExplicit:      s.AbortExplicit,
-		AbortDeadlock:      s.AbortDeadlock,
 		AbortOther:         s.AbortOther,
 	} {
 		if v != 0 {
@@ -332,7 +321,7 @@ func (s Snapshot) AbortBreakdown() map[string]int64 {
 func (s Snapshot) Aborts() int64 {
 	return s.AbortLateRead + s.AbortLateWrite + s.AbortImportLimit +
 		s.AbortExportLimit + s.AbortWaitTimeout + s.AbortMissingObject +
-		s.AbortExplicit + s.AbortDeadlock + s.AbortOther
+		s.AbortExplicit + s.AbortOther
 }
 
 // TotalOps is the total number of executed operations, reads plus writes,
@@ -367,7 +356,6 @@ func (s Snapshot) Sub(t Snapshot) Snapshot {
 		AbortWaitTimeout:   s.AbortWaitTimeout - t.AbortWaitTimeout,
 		AbortMissingObject: s.AbortMissingObject - t.AbortMissingObject,
 		AbortExplicit:      s.AbortExplicit - t.AbortExplicit,
-		AbortDeadlock:      s.AbortDeadlock - t.AbortDeadlock,
 		AbortOther:         s.AbortOther - t.AbortOther,
 		ReadsExecuted:      s.ReadsExecuted - t.ReadsExecuted,
 		WritesExecuted:     s.WritesExecuted - t.WritesExecuted,

@@ -61,7 +61,7 @@ func TestAllAbortReasonsRouted(t *testing.T) {
 	c := &Collector{}
 	reasons := []AbortReason{
 		AbortLateRead, AbortLateWrite, AbortImportLimit, AbortExportLimit,
-		AbortWaitTimeout, AbortMissingObject, AbortExplicit, AbortDeadlock, AbortOther,
+		AbortWaitTimeout, AbortMissingObject, AbortExplicit, AbortOther,
 	}
 	for _, r := range reasons {
 		c.Abort(r, 0)

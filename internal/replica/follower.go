@@ -231,7 +231,7 @@ func (f *Follower) ReadView(obj core.ObjectID, queryTS tsgen.Timestamp) (View, e
 	switch {
 	case queryTS.After(v.TS):
 		if pv, ok := f.pendingWriteLocked(obj, queryTS); ok {
-			v.Charge = absDist(v.Value, pv)
+			v.Charge = core.Dist(v.Value, pv)
 		}
 	case queryTS == v.TS:
 		// The last applied write is the query's own proper version.
@@ -243,7 +243,7 @@ func (f *Follower) ReadView(obj core.ObjectID, queryTS tsgen.Timestamp) (View, e
 			// oldest retained version.
 			f.store.NotedProperMiss()
 		}
-		v.Charge = absDist(v.Value, proper)
+		v.Charge = core.Dist(v.Value, proper)
 	}
 	o.Unlock()
 	return v, nil
@@ -269,12 +269,4 @@ func (f *Follower) pendingWriteLocked(obj core.ObjectID, queryTS tsgen.Timestamp
 		}
 	}
 	return val, found
-}
-
-// absDist is the Absolute metric: |u − v| as a distance.
-func absDist(u, v core.Value) core.Distance {
-	if u >= v {
-		return u - v
-	}
-	return v - u
 }

@@ -57,9 +57,9 @@ func (c *TxnCommit) ReadOnly() bool {
 // read. A read-only commit is acknowledged once that LSN is durable.
 //
 // The zero value means unknown: the commit then waits for everything
-// appended so far, which covers every version it could have read. Engines
-// that do not track their reads (twopl, mvto) leave it zero and get that
-// barrier, never a free pass.
+// appended so far, which covers every version it could have read. A
+// commit that cannot name its horizon gets that barrier, never a free
+// pass.
 type ReadHorizon struct {
 	// LSN is the highest Object.CommitLSN among the versions read. It is
 	// zero when every version read predates the log (recovered from it,
@@ -139,10 +139,8 @@ func (s *Store) RestoreCommittedInconsistency(imported, exported core.Distance) 
 
 // ApplyCommitted installs a committed write directly: value, write
 // timestamp and history entry, with no dirty/shadow transition. Replay
-// uses it to reapply logged commits, and the MVTO engine uses it to
-// mirror its private version chains into the store so snapshots see
-// them. It fails if the object is missing or has an uncommitted write
-// pending (replay stores are never dirty).
+// uses it to reapply logged commits. It fails if the object is missing
+// or has an uncommitted write pending (replay stores are never dirty).
 func (s *Store) ApplyCommitted(id core.ObjectID, v core.Value, ts tsgen.Timestamp) error {
 	o, err := s.Get(id)
 	if err != nil {

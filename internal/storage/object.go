@@ -363,10 +363,7 @@ func (o *Object) ExportDistance(newValue core.Value) (core.Distance, bool) {
 	}
 	var max core.Distance
 	for _, r := range o.readers {
-		d := newValue - r.proper
-		if d < 0 {
-			d = -d
-		}
+		d := core.Dist(newValue, r.proper)
 		if d > max {
 			max = d
 		}

@@ -421,11 +421,3 @@ func (e *Engine) wakeCredit(n int) {
 		e.opts.Parker.Resume()
 	}
 }
-
-// absDist is the Absolute metric inline: |u − v| as a distance.
-func absDist(u, v core.Value) core.Distance {
-	if u >= v {
-		return u - v
-	}
-	return v - u
-}

@@ -1,6 +1,7 @@
 package tso
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -537,4 +538,60 @@ func asLimitError(ae *AbortError, le **core.LimitError) bool {
 	}
 	*le = l
 	return true
+}
+
+// A distance wider than MaxInt64 saturates at NoLimit: a NoLimit query
+// admits it and a finite TIL refuses it as a limit violation, instead of
+// both seeing a wrapped, negative distance.
+func TestExtremeDistanceSaturatesAtNoLimit(t *testing.T) {
+	setup := func(til core.Distance) (*Engine, core.TxnID) {
+		e := newTestEngine(t, 1, Options{})
+		q := mustBegin(t, e, core.Query, 10, til)
+		u := mustBegin(t, e, core.Update, 20, 0)
+		if err := e.Write(u, 1, math.MinInt64); err != nil { // over 100
+			t.Fatal(err)
+		}
+		if err := e.Commit(u); err != nil {
+			t.Fatal(err)
+		}
+		return e, q
+	}
+
+	e, q := setup(core.NoLimit)
+	v, err := e.Read(q, 1)
+	if err != nil {
+		t.Fatalf("NoLimit query refused a case-1 read: %v", err)
+	}
+	if v != math.MinInt64 {
+		t.Errorf("read = %d, want %d", v, int64(math.MinInt64))
+	}
+	if err := e.Commit(q); err != nil {
+		t.Fatal(err)
+	}
+
+	e, q = setup(1000)
+	_, err = e.Read(q, 1)
+	ae := wantAbort(t, err, metrics.AbortImportLimit)
+	var le *core.LimitError
+	if !asLimitError(ae, &le) || le.Distance != core.NoLimit {
+		t.Errorf("finite TIL refused the read for the wrong reason: %v", ae)
+	}
+
+	// Case 3: MinInt64 over a reader's proper MaxInt64 is an export of
+	// NoLimit, not the wrapped difference 1, so TEL = 10 refuses it.
+	st := storage.NewStore(storage.Config{DefaultOIL: core.NoLimit, DefaultOEL: core.NoLimit})
+	if _, err := st.Create(1, math.MaxInt64); err != nil {
+		t.Fatal(err)
+	}
+	e = NewEngine(st, Options{})
+	q = mustBegin(t, e, core.Query, 30, core.NoLimit)
+	if _, err := e.Read(q, 1); err != nil {
+		t.Fatal(err)
+	}
+	u := mustBegin(t, e, core.Update, 20, 10)
+	err = e.Write(u, 1, math.MinInt64)
+	ae = wantAbort(t, err, metrics.AbortExportLimit)
+	if !asLimitError(ae, &le) || le.Distance != core.NoLimit {
+		t.Errorf("TEL refused the write for the wrong reason: %v", ae)
+	}
 }

@@ -122,7 +122,7 @@ func (e *Engine) readQuery(st *txnState, o *storage.Object) (core.Value, error) 
 			if st.esr {
 				// ESR case 2: view uncommitted data within bounds.
 				present := o.Value()
-				d := absDist(present, proper)
+				d := core.Dist(present, proper)
 				if err := st.acc.Admit(o.ID(), d, o.OIL()); err == nil {
 					return e.finishQueryRead(st, o, present, proper, d, true), nil
 				}
@@ -159,7 +159,7 @@ func (e *Engine) readQuery(st *txnState, o *storage.Object) (core.Value, error) 
 			return 0, e.abortNow(st, metrics.AbortLateRead,
 				fmt.Errorf("read ts %v older than committed write %v on object %d", st.ts, cts, o.ID()))
 		}
-		d := absDist(cv, proper)
+		d := core.Dist(cv, proper)
 		if err := st.acc.Admit(o.ID(), d, o.OIL()); err != nil {
 			o.Unlock()
 			return 0, e.abortNow(st, metrics.AbortImportLimit, err)

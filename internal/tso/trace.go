@@ -110,7 +110,6 @@ type Event struct {
 	// Limit is the inconsistency bound that applied: the transaction's
 	// root limit (TIL or TEL) on begin and commit events, the object's
 	// import limit (OIL) on reads, and its export limit (OEL) on writes.
-	// Engines that ignore bounds (the serializable baselines) emit zero.
 	Limit core.Distance
 	// DirtyRead marks a read of uncommitted data (ESR case 2).
 	DirtyRead bool

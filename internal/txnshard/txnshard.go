@@ -8,9 +8,10 @@
 // id&mask spreads consecutive transactions round-robin across shards and
 // two concurrent connections almost never touch the same lock.
 //
-// The map is generic over the value type so the TO, 2PL and MVTO engines
-// share one implementation for their *txnState tables, and the TO engine
-// reuses it for the dirty-reader counters.
+// The map is generic over the value type so the TO engine and the
+// follower's query engine share one implementation for their
+// transaction tables, and the TO engine reuses it for the dirty-reader
+// counters.
 package txnshard
 
 import (

@@ -162,7 +162,7 @@ func replaySegment(store *storage.Store, data []byte, name string, snapLSN uint6
 // applyRecord installs one record into a recovering store. Records are
 // applied unconditionally in log order: the log was written in publish
 // order under one mutex, so replaying it in order reproduces the same
-// final state for every engine.
+// final state.
 func applyRecord(store *storage.Store, rec Record) error {
 	switch rec.Type {
 	case RecordCommit:

@@ -202,7 +202,7 @@ func (m *StatsOK) appendPayload(dst []byte) []byte {
 	for _, v := range []int64{
 		s.Begins, s.Commits,
 		s.AbortLateRead, s.AbortLateWrite, s.AbortImportLimit, s.AbortExportLimit,
-		s.AbortWaitTimeout, s.AbortMissingObject, s.AbortExplicit, s.AbortDeadlock, s.AbortOther,
+		s.AbortWaitTimeout, s.AbortMissingObject, s.AbortExplicit, s.AbortOther,
 		s.ReadsExecuted, s.WritesExecuted, s.InconsistentReads, s.InconsistentWrites,
 		s.WastedOps, s.Waits, s.DirtySourceAborted, m.ProperMisses, m.Live,
 	} {
@@ -220,7 +220,7 @@ func (m *StatsOK) decodePayload(r *reader) {
 	for _, p := range []*int64{
 		&s.Begins, &s.Commits,
 		&s.AbortLateRead, &s.AbortLateWrite, &s.AbortImportLimit, &s.AbortExportLimit,
-		&s.AbortWaitTimeout, &s.AbortMissingObject, &s.AbortExplicit, &s.AbortDeadlock, &s.AbortOther,
+		&s.AbortWaitTimeout, &s.AbortMissingObject, &s.AbortExplicit, &s.AbortOther,
 		&s.ReadsExecuted, &s.WritesExecuted, &s.InconsistentReads, &s.InconsistentWrites,
 		&s.WastedOps, &s.Waits, &s.DirtySourceAborted, &m.ProperMisses, &m.Live,
 	} {

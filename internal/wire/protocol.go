@@ -26,8 +26,10 @@ import (
 var Magic = [2]byte{0xED, 0x05}
 
 // Version is the protocol version this package speaks. Version 2 added
-// the latency histograms and live-transaction gauge to StatsOK.
-const Version = 2
+// the latency histograms and live-transaction gauge to StatsOK; version 3
+// dropped StatsOK's deadlock-abort counter, which renumbered the abort
+// reason after it.
+const Version = 3
 
 // MaxPayload bounds frame payloads; larger frames are rejected to protect
 // the peer from corrupt length fields.
