@@ -1,7 +1,6 @@
-// esr-lint is the repo's custom vet suite: the eight analyzers under
-// internal/analysis (epsiloncheck, locksafe, wireexhaustive,
-// atomicmetrics, lockorder, goleak, errprop, tracecomplete) behind two
-// drivers.
+// esr-lint is the repo's custom vet suite: the six analyzers under
+// internal/analysis (epsiloncheck, wireexhaustive, lockorder, goleak,
+// errprop, tracecomplete) behind two drivers.
 //
 // Standalone (what `make lint` runs):
 //
@@ -41,12 +40,10 @@ import (
 	"strings"
 
 	"github.com/epsilondb/epsilondb/internal/analysis"
-	"github.com/epsilondb/epsilondb/internal/analysis/atomicmetrics"
 	"github.com/epsilondb/epsilondb/internal/analysis/epsiloncheck"
 	"github.com/epsilondb/epsilondb/internal/analysis/errprop"
 	"github.com/epsilondb/epsilondb/internal/analysis/goleak"
 	"github.com/epsilondb/epsilondb/internal/analysis/lockorder"
-	"github.com/epsilondb/epsilondb/internal/analysis/locksafe"
 	"github.com/epsilondb/epsilondb/internal/analysis/tracecomplete"
 	"github.com/epsilondb/epsilondb/internal/analysis/wireexhaustive"
 )
@@ -54,9 +51,7 @@ import (
 // analyzers is the full suite, in reporting order.
 var analyzers = []*analysis.Analyzer{
 	epsiloncheck.Analyzer,
-	locksafe.Analyzer,
 	wireexhaustive.Analyzer,
-	atomicmetrics.Analyzer,
 	lockorder.Analyzer,
 	goleak.Analyzer,
 	errprop.Analyzer,

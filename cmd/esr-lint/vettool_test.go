@@ -52,18 +52,18 @@ func TestVettoolClean(t *testing.T) {
 	}
 }
 
-// TestVettoolReportsViolations runs go vet over the locksafe golden
-// package and expects the known diagnostics and a non-zero exit.
+// TestVettoolReportsViolations runs go vet over lockorder's exit-rule
+// golden package and expects the known diagnostics and a non-zero exit.
 func TestVettoolReportsViolations(t *testing.T) {
 	bin := buildTool(t)
 	cmd := exec.Command("go", "vet", "-vettool="+bin,
-		"./internal/analysis/locksafe/testdata/src/a")
+		"./internal/analysis/lockorder/testdata/src/a")
 	cmd.Dir = "../.."
 	out, err := cmd.CombinedOutput()
 	if err == nil {
 		t.Fatalf("go vet -vettool on violating package succeeded; output:\n%s", out)
 	}
-	if !strings.Contains(string(out), "still locked") {
-		t.Errorf("vet output missing locksafe diagnostic:\n%s", out)
+	if !strings.Contains(string(out), "return while e.mu is still locked") {
+		t.Errorf("vet output missing lockorder exit-rule diagnostic:\n%s", out)
 	}
 }

@@ -16,8 +16,8 @@
 //     (cfg.go), a generic forward dataflow fixpoint (dataflow.go), and a
 //     program-level call graph with property propagation (callgraph.go).
 //
-// The concrete analyzers live in the subpackages epsiloncheck, locksafe,
-// wireexhaustive, atomicmetrics, lockorder, goleak, and errprop;
+// The concrete analyzers live in the subpackages epsiloncheck,
+// wireexhaustive, lockorder, goleak, errprop, and tracecomplete;
 // DESIGN.md ("Static invariants") documents the invariant each one
 // enforces and how to add a new one.
 package analysis

@@ -12,8 +12,7 @@ package analysis
 //
 // Function literals are NOT inlined: a FuncLit is an opaque expression in
 // its enclosing CFG, and analyzers build a separate CFG for its body.
-// Panic calls and calls to functions that the builder is told never
-// return are treated as exits, matching locksafe's view of control flow.
+// Panic calls are treated as exits.
 
 import (
 	"go/ast"

@@ -8,7 +8,6 @@
 // The protected state and its writers:
 //
 //	core.Accumulator.used / .limits      — NewAccumulator, Init, Admit, Reset
-//	core.AggregateTracker.minmax / .order — NewAggregateTracker, Observe, Reset
 //	storage.Object.oil / .oel            — NewObject, SetLimits
 //	storage.Object.maxQueryReadTS / .maxUpdateReadTS — NewObject, RecordRead
 //
@@ -63,7 +62,6 @@ type rule struct {
 
 var rules = []rule{
 	{"core", "Accumulator", []string{"used", "limits"}, []string{"NewAccumulator", "Init", "Admit", "Reset"}, []string{"Remaining"}},
-	{"core", "AggregateTracker", []string{"minmax", "order"}, []string{"NewAggregateTracker", "Observe", "Reset"}, nil},
 	{"storage", "Object", []string{"oil", "oel"}, []string{"NewObject", "SetLimits"}, nil},
 	{"storage", "Object", []string{"maxQueryReadTS", "maxUpdateReadTS"}, []string{"NewObject", "RecordRead"}, nil},
 }

@@ -77,30 +77,3 @@ func rebuild() *Accumulator {
 	a.used = nil // want `accounting field core\.Accumulator\.used written outside`
 	return a
 }
-
-// AggregateTracker mirrors the §5.3.2 aggregate envelope tracker.
-type AggregateTracker struct {
-	minmax map[int][2]int64
-	order  []int
-}
-
-// NewAggregateTracker is an allowed writer.
-func NewAggregateTracker() *AggregateTracker {
-	return &AggregateTracker{minmax: make(map[int][2]int64)}
-}
-
-// Observe is an allowed writer.
-func (t *AggregateTracker) Observe(obj int, v int64) {
-	if _, ok := t.minmax[obj]; !ok {
-		t.order = append(t.order, obj)
-	}
-	t.minmax[obj] = [2]int64{v, v}
-}
-
-// Forget drops one observation outside Reset: flagged, because a
-// selectively forgotten envelope under-reports result inconsistency.
-func (t *AggregateTracker) Forget(obj int) {
-	t.order = t.order[:0]                    // want `accounting field core\.AggregateTracker\.order written outside`
-	t.minmax = make(map[int][2]int64)        // want `accounting field core\.AggregateTracker\.minmax written outside`
-	_ = &AggregateTracker{order: []int{obj}} // want `accounting field core\.AggregateTracker\.order written outside`
-}

@@ -2,8 +2,9 @@
 // that commits in memory but whose log write fails is the one state the
 // paper's recovery argument cannot repair silently, so the error results
 // of the durability surface — methods of the storage.Durability and
-// storage.Ack interfaces, methods of *wal.Log, and the wal package's
-// functions — must reach a handler: returned, wrapped (engines match
+// storage.Ack interfaces, methods of *wal.Log, methods of the wal.FS and
+// wal.File interfaces except Close, and the wal package's functions —
+// must reach a handler: returned, wrapped (engines match
 // them as *DurabilityError), or branched on. Discarding one is reported:
 //
 //   - a bare call statement (`d.LogCreate(...)`),
@@ -95,7 +96,9 @@ func checkAssign(pass *analysis.Pass, pkg *analysis.Package, reads map[types.Obj
 
 // matchCall returns the called function when e is a call into the
 // durability surface: methods of the storage.Durability or storage.Ack
-// interfaces, methods of wal.Log, or wal package functions.
+// interfaces, methods of wal.Log, methods of wal.FS or wal.File other
+// than Close, or wal package functions. A Close that runs after a failed
+// write has no error worth more than the one already returned.
 func matchCall(pkg *analysis.Package, e ast.Expr) (*ast.CallExpr, *types.Func) {
 	call, ok := ast.Unparen(e).(*ast.CallExpr)
 	if !ok {
@@ -119,6 +122,8 @@ func matchCall(pkg *analysis.Package, e ast.Expr) (*ast.CallExpr, *types.Func) {
 			case obj.Pkg().Name() == "storage" && (obj.Name() == "Durability" || obj.Name() == "Ack"):
 				return call, fn
 			case obj.Pkg().Name() == "wal" && obj.Name() == "Log":
+				return call, fn
+			case obj.Pkg().Name() == "wal" && (obj.Name() == "FS" || obj.Name() == "File") && fn.Name() != "Close":
 				return call, fn
 			}
 		}

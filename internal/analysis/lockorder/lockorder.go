@@ -1,7 +1,8 @@
-// Package lockorder is the flow-sensitive lock discipline analyzer. It
-// runs over the engine and storage packages (tso, storage, txnshard,
-// wal) plus the pipelined client (client), infers the partial
-// order in which their mutexes are acquired, and enforces three rules:
+// Package lockorder is the flow-sensitive lock discipline analyzer. Its
+// first three rules run over the engine and storage packages (tso,
+// storage, txnshard, wal) plus the pipelined client (client), whose
+// mutexes it names canonically and orders; rule 4 runs over every
+// package and rule 5 over the wal package:
 //
 //  1. Ordering: every pair of locks must be acquired in one consistent
 //     order program-wide. Acquisition edges are collected per path
@@ -23,6 +24,24 @@
 //     LogCommit already failed (its error != nil). Publishing anywhere
 //     else would expose committed state before the decision is logged.
 //
+//  4. No leaked lock at an exit: a return or panic must not leave a
+//     function while a lock it acquired is still held and no deferred
+//     call releases it. Releases count from `defer x.Unlock()`, from a
+//     deferred literal that unlocks x, and from a call to a function
+//     that releases a lock it did not acquire (tso.finishQueryRead). A
+//     function that releases its caller's lock before acquiring it (the
+//     unlock-wait-relock helper waitForResolve) may return holding it:
+//     re-acquiring hands it back. Functions named Lock, Unlock, RLock,
+//     RUnlock, TryLock and TryRLock are the lock wrappers themselves and
+//     are exempt. Outside the scope packages a lock is named by its
+//     receiver expression ("e.mu"); aliases of one mutex are not tracked.
+//
+//  5. Single committer: in the wal package, Sync and SyncDir may only be
+//     called from the committer goroutine's call chain (run, flushOnce,
+//     writeSnapshot, rollSegment, openSegment) or the sync wrappers
+//     themselves. An fsync from an appender would race the committer's
+//     exclusive ownership of the segment files.
+//
 // Function literals passed to LogCommit / LogCreate / LogSetAllLimits are
 // analyzed as if wal.Log.mu were already held, since the WAL runs them
 // under it; that seeding is also what discovers the wal.Log.mu ->
@@ -33,6 +52,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"path/filepath"
 	"sort"
 	"strings"
 
@@ -42,7 +62,7 @@ import (
 // Analyzer is the lockorder analyzer.
 var Analyzer = &analysis.Analyzer{
 	Name:         "lockorder",
-	Doc:          "enforce lock acquisition order, no blocking under engine locks, and the publish-under-log-mutex commit contract",
+	Doc:          "enforce lock acquisition order, no blocking under engine locks, the publish-under-log-mutex commit contract, no lock held at a return or panic, and the WAL's single fsync committer",
 	ProgramLevel: true,
 	Run:          run,
 }
@@ -70,25 +90,47 @@ var logFuncs = map[string]bool{"LogCommit": true, "LogCreate": true, "LogSetAllL
 // held set of durability callbacks.
 const walLogMu = "wal.Log.mu"
 
+// wrapperNames are functions that exist to acquire or release a lock;
+// rule 4 does not check exits inside them.
+var wrapperNames = map[string]bool{
+	"Lock": true, "Unlock": true, "RLock": true, "RUnlock": true, "TryLock": true, "TryRLock": true,
+}
+
 // fact is the per-path dataflow state.
 type fact struct {
 	// held maps lock id -> acquisition position (may-analysis: union).
 	held map[string]token.Pos
+	// deferred are the locks a return may leave held: released by a
+	// deferred call, or the caller's (released here while not held, so
+	// re-acquiring hands them back). May-analysis: union.
+	deferred map[string]bool
 	// durNil is true when this path established durability == nil;
 	// logErr when it established a LogCommit error != nil. Both are
 	// must-facts (join = AND).
 	durNil, logErr bool
 }
 
-func newFact() *fact { return &fact{held: map[string]token.Pos{}} }
+func newFact() *fact { return &fact{held: map[string]token.Pos{}, deferred: map[string]bool{}} }
 
 func (f *fact) clone() *fact {
 	g := &fact{held: make(map[string]token.Pos, len(f.held)),
-		durNil: f.durNil, logErr: f.logErr}
+		deferred: make(map[string]bool, len(f.deferred)),
+		durNil:   f.durNil, logErr: f.logErr}
 	for k, v := range f.held {
 		g.held[k] = v
 	}
+	for k := range f.deferred {
+		g.deferred[k] = true
+	}
 	return g
+}
+
+// release applies one release of id.
+func (f *fact) release(id string) {
+	if _, ok := f.held[id]; !ok {
+		f.deferred[id] = true
+	}
+	delete(f.held, id)
 }
 
 // join merges src into f, returning whether f changed.
@@ -97,6 +139,12 @@ func (f *fact) join(src *fact) bool {
 	for k, v := range src.held {
 		if _, ok := f.held[k]; !ok {
 			f.held[k] = v
+			changed = true
+		}
+	}
+	for k := range src.deferred {
+		if !f.deferred[k] {
+			f.deferred[k] = true
 			changed = true
 		}
 	}
@@ -125,6 +173,8 @@ type funcInfo struct {
 	commRecv map[ast.Node]bool
 	// name labels diagnostics with the enclosing declaration.
 	name string
+	// scoped is set in the scope packages, where rules 1-3 apply.
+	scoped bool
 }
 
 type edgeKey struct{ from, to string }
@@ -133,31 +183,40 @@ type checker struct {
 	pass     *analysis.Pass
 	graph    *analysis.CallGraph
 	acquired map[*types.Func]map[string]token.Pos
+	// releases are the locks a function releases without acquiring.
+	releases map[*types.Func][]string
 	mayBlock map[*types.Func]bool
 	edges    map[edgeKey]token.Pos
 }
 
 func run(pass *analysis.Pass) error {
 	c := &checker{
-		pass:  pass,
-		graph: analysis.BuildCallGraph(pass.Program),
-		edges: make(map[edgeKey]token.Pos),
+		pass:     pass,
+		graph:    analysis.BuildCallGraph(pass.Program),
+		releases: make(map[*types.Func][]string),
+		edges:    make(map[edgeKey]token.Pos),
 	}
 	c.acquired = c.graph.PropagateSet(func(fn *types.Func, src *analysis.FuncSource) map[string]token.Pos {
 		if !scopePkgs[src.Pkg.Types.Name()] {
 			return nil
 		}
-		return c.directLocks(src.Pkg, src.Decl.Body)
+		acquired, released := directLocks(src.Pkg, src.Decl.Body)
+		for _, id := range sortedKeys(released) {
+			if _, ok := acquired[id]; !ok {
+				c.releases[fn] = append(c.releases[fn], id)
+			}
+		}
+		return acquired
 	})
 	c.mayBlock = c.graph.Propagate(func(fn *types.Func, src *analysis.FuncSource) bool {
 		return scopePkgs[src.Pkg.Types.Name()] && containsBlockingOp(src.Pkg, src.Decl.Body)
 	})
 
 	for _, pkg := range pass.Program.Packages {
-		if !scopePkgs[pkg.Types.Name()] {
-			continue
-		}
 		for _, file := range pkg.Files {
+			if pkg.Types.Name() == "wal" {
+				checkWALFsync(pass, file)
+			}
 			for _, decl := range file.Decls {
 				fn, ok := decl.(*ast.FuncDecl)
 				if !ok || fn.Body == nil {
@@ -172,7 +231,10 @@ func run(pass *analysis.Pass) error {
 					}
 					init := newFact()
 					if fi.seeded[lit] {
+						// The WAL holds its log mutex around the callback
+						// and releases it after the callback returns.
 						init.held[walLogMu] = lit.Pos()
+						init.deferred[walLogMu] = true
 					}
 					c.analyze(pkg, lit.Body, init, fi, fi.seeded[lit])
 					return true
@@ -184,25 +246,29 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
-// directLocks is the flow-insensitive set of lock ids a body acquires
-// anywhere (including in its non-go function literals), for transitive
-// edge propagation.
-func (c *checker) directLocks(pkg *analysis.Package, body *ast.BlockStmt) map[string]token.Pos {
-	out := map[string]token.Pos{}
+// directLocks is the flow-insensitive pair of lock id sets a body
+// acquires and releases anywhere (including in its non-go function
+// literals): the acquisitions feed transitive edge propagation, and a
+// release without an acquisition makes the function a releasing callee.
+func directLocks(pkg *analysis.Package, body *ast.BlockStmt) (acquired, released map[string]token.Pos) {
+	acquired, released = map[string]token.Pos{}, map[string]token.Pos{}
 	ast.Inspect(body, func(n ast.Node) bool {
 		if _, ok := n.(*ast.GoStmt); ok {
 			return false // spawned bodies run on their own stack
 		}
 		if call, ok := n.(*ast.CallExpr); ok {
-			if id, op := lockOp(pkg, call); op == opAcquire {
-				if _, seen := out[id]; !seen {
-					out[id] = call.Pos()
-				}
+			id, op := lockOp(pkg, call)
+			set := acquired
+			if op == opRelease {
+				set = released
+			}
+			if _, seen := set[id]; op != opNone && !seen {
+				set[id] = call.Pos()
 			}
 		}
 		return true
 	})
-	return out
+	return acquired, released
 }
 
 // containsBlockingOp reports whether a body directly performs a blocking
@@ -290,7 +356,16 @@ func (c *checker) step(pkg *analysis.Package, node ast.Node, f *fact, fi *funcIn
 			for _, a := range n.Call.Args {
 				ast.Inspect(a, walk)
 			}
+			deferRelease(pkg, n.Call, f)
 			return false // the call itself runs at exit
+		case *ast.ReturnStmt:
+			for _, r := range n.Results {
+				ast.Inspect(r, walk)
+			}
+			if report {
+				c.reportExit(fi, f, n.Pos(), "return")
+			}
+			return false
 		case *ast.GoStmt:
 			for _, a := range n.Call.Args {
 				ast.Inspect(a, walk)
@@ -319,11 +394,43 @@ func (c *checker) step(pkg *analysis.Package, node ast.Node, f *fact, fi *funcIn
 			}
 		case *ast.CallExpr:
 			c.call(pkg, n, f, fi, exempt, report, walk)
+			if report && isPanic(pkg, n) {
+				c.reportExit(fi, f, n.Pos(), "panic")
+			}
 			return false
 		}
 		return true
 	}
 	ast.Inspect(node, walk)
+}
+
+// deferRelease records the locks a deferred call releases: the call
+// itself, or any release inside a deferred literal.
+func deferRelease(pkg *analysis.Package, call *ast.CallExpr, f *fact) {
+	ast.Inspect(call, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok {
+			if id, op := lockOp(pkg, call); op == opRelease {
+				f.deferred[id] = true
+			}
+		}
+		return true
+	})
+}
+
+// reportExit reports every lock held at a return or panic that no
+// deferred call releases (rule 4).
+func (c *checker) reportExit(fi *funcInfo, f *fact, pos token.Pos, kind string) {
+	if wrapperNames[fi.name] {
+		return
+	}
+	for _, id := range sortedHeld(f) {
+		if f.deferred[id] {
+			continue
+		}
+		at := c.pass.Fset.Position(f.held[id])
+		c.pass.Reportf(pos, "in %s: %s while %s is still locked (acquired at %s:%d with no deferred unlock)",
+			fi.name, kind, id, filepath.Base(at.Filename), at.Line)
+	}
 }
 
 // call handles one call expression in evaluation order: receiver and
@@ -338,10 +445,10 @@ func (c *checker) call(pkg *analysis.Package, call *ast.CallExpr, f *fact, fi *f
 
 	if id, op := lockOp(pkg, call); op != opNone {
 		if op == opRelease {
-			delete(f.held, id)
+			f.release(id)
 			return
 		}
-		if report {
+		if report && fi.scoped {
 			for _, h := range sortedHeld(f) {
 				if h != id {
 					c.recordEdge(h, id, call.Pos())
@@ -352,7 +459,13 @@ func (c *checker) call(pkg *analysis.Package, call *ast.CallExpr, f *fact, fi *f
 		return
 	}
 
-	if !report {
+	callee := analysis.ResolveCallee(pkg.Info, call)
+	if callee != nil {
+		for _, id := range c.releases[callee] {
+			f.release(id)
+		}
+	}
+	if !report || !fi.scoped {
 		return
 	}
 
@@ -365,7 +478,7 @@ func (c *checker) call(pkg *analysis.Package, call *ast.CallExpr, f *fact, fi *f
 		c.pass.Reportf(call.Pos(), "in %s: commit publish outside the durability log callback: pass it to LogCommit (it runs under the log mutex) or guard with dur == nil / LogCommit error != nil", fi.name)
 	}
 
-	if callee := analysis.ResolveCallee(pkg.Info, call); callee != nil {
+	if callee != nil {
 		for _, id := range sortedKeys(c.acquired[callee]) {
 			for _, h := range sortedHeld(f) {
 				if h != id {
@@ -380,7 +493,7 @@ func (c *checker) call(pkg *analysis.Package, call *ast.CallExpr, f *fact, fi *f
 }
 
 func (c *checker) reportBlocked(pkg *analysis.Package, f *fact, fi *funcInfo, pos token.Pos, what string) {
-	if len(f.held) == 0 {
+	if len(f.held) == 0 || !fi.scoped {
 		return
 	}
 	held := sortedHeld(f)
@@ -476,6 +589,7 @@ func gatherFuncInfo(pkg *analysis.Package, fn *ast.FuncDecl) *funcInfo {
 		seeded:     map[*ast.FuncLit]bool{},
 		commRecv:   map[ast.Node]bool{},
 		name:       fn.Name.Name,
+		scoped:     scopePkgs[pkg.Types.Name()],
 	}
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
@@ -619,8 +733,9 @@ func (c *checker) reportCycles() {
 // lockOp classifies a call as a lock acquisition or release and returns
 // the lock's canonical id ("pkg.Type.field" for mutex fields,
 // "pkg.Type.mu" for Lock/Unlock wrapper methods, "pkg.var" for
-// package-level mutexes). Only locks owned by the scope packages count;
-// TryLock is conditional and therefore ignored.
+// package-level mutexes). In the scope packages only locks they own
+// count; elsewhere any other sync mutex is named by its receiver
+// expression. TryLock is conditional and therefore ignored.
 func lockOp(pkg *analysis.Package, call *ast.CallExpr) (string, int) {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok || len(call.Args) != 0 {
@@ -648,6 +763,9 @@ func lockOp(pkg *analysis.Package, call *ast.CallExpr) (string, int) {
 				v.Parent() == v.Pkg().Scope() && scopePkgs[v.Pkg().Name()] {
 				return v.Pkg().Name() + "." + v.Name(), op
 			}
+		}
+		if !scopePkgs[pkg.Types.Name()] {
+			return types.ExprString(recv), op
 		}
 		return "", opNone
 	}
@@ -707,6 +825,53 @@ func isMutexType(t types.Type) bool {
 	obj := named.Obj()
 	return obj.Pkg() != nil && obj.Pkg().Path() == "sync" &&
 		(obj.Name() == "Mutex" || obj.Name() == "RWMutex")
+}
+
+// isPanic reports whether call is the builtin panic.
+func isPanic(pkg *analysis.Package, call *ast.CallExpr) bool {
+	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
+	if !ok || id.Name != "panic" {
+		return false
+	}
+	_, isBuiltin := pkg.Info.Uses[id].(*types.Builtin)
+	return isBuiltin
+}
+
+// walFsyncAllowed are the wal functions that may touch the disk-sync
+// surface: the committer goroutine's call chain plus the wrappers that
+// ARE the sync surface (Log.Sync barrier, FS SyncDir, File Sync).
+var walFsyncAllowed = map[string]bool{
+	"run": true, "flushOnce": true, "writeSnapshot": true,
+	"writeBatchSynced": true, "writeEachSynced": true,
+	"rollSegment": true, "openSegment": true,
+	"Sync": true, "SyncDir": true,
+}
+
+// checkWALFsync flags Sync/SyncDir calls outside the committer's call
+// chain in packages named "wal" (rule 5).
+func checkWALFsync(pass *analysis.Pass, file *ast.File) {
+	for _, decl := range file.Decls {
+		fn, ok := decl.(*ast.FuncDecl)
+		if !ok || fn.Body == nil || walFsyncAllowed[fn.Name.Name] {
+			continue
+		}
+		ast.Inspect(fn.Body, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			if name := sel.Sel.Name; name == "Sync" || name == "SyncDir" {
+				pass.Reportf(call.Pos(),
+					"%s called in %s, outside the committer goroutine's call chain: only the committer may fsync",
+					name, fn.Name.Name)
+			}
+			return true
+		})
+	}
 }
 
 // isWaitCall matches zero-argument methods named Wait: storage.Ack.Wait,

@@ -1,6 +1,6 @@
-// Package a exercises the locksafe analyzer: early returns and panics
-// under held mutexes are flagged; deferred unlocks, branch-balanced
-// unlocks, and the engines' unlock-wait-relock loop pattern are not.
+// Package a exercises lockorder's exit rule outside the scope packages:
+// early returns and panics under held mutexes are flagged; deferred,
+// branch-balanced and unlock-wait-relock unlocks are not.
 package a
 
 import "sync"

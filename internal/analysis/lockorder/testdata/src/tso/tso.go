@@ -74,3 +74,44 @@ func waitIfSet(ack storage.Ack, err error) error {
 	}
 	return err
 }
+
+// beginWrite mirrors tso.write's failure path: the object lock is taken
+// through the storage.Object.Lock wrapper, and the early return forgets
+// to release it, so every later operation on the object deadlocks.
+func (e *Engine) beginWrite(o *storage.Object, v int64) bool {
+	o.Lock()
+	if v < 0 {
+		return false // want `return while storage\.Object\.mu is still locked`
+	}
+	o.Commit(v)
+	o.Unlock()
+	return true
+}
+
+// readQuery returns through finish, which releases the lock it did not
+// acquire: the call counts as the release, so no diagnostic.
+func (e *Engine) readQuery(o *storage.Object, v int64) int64 {
+	o.Lock()
+	if v > 0 {
+		return e.finish(o, v)
+	}
+	o.Unlock()
+	return 0
+}
+
+// finish releases the caller's object lock before returning.
+func (e *Engine) finish(o *storage.Object, v int64) int64 {
+	o.Commit(v)
+	o.Unlock()
+	return v
+}
+
+// waitForResolve mirrors the engine's wait helper: it releases the
+// caller's lock, blocks, and re-acquires it before returning. The lock
+// it returns holding is the caller's, so no diagnostic.
+func (e *Engine) waitForResolve(o *storage.Object, ch chan struct{}) {
+	o.Unlock()
+	<-ch
+	o.Lock()
+	return
+}

@@ -1,6 +1,6 @@
-// Package wal exercises the locksafe analyzer's single-committer fsync
-// rule: in packages named "wal", Sync and SyncDir may only be called
-// from the committer goroutine's call chain.
+// This file exercises lockorder's single-committer fsync rule: in
+// packages named "wal", Sync and SyncDir may only be called from the
+// committer goroutine's call chain.
 package wal
 
 type file struct{}

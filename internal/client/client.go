@@ -88,7 +88,9 @@ type Options struct {
 	// sync handshake probes). Zero means no deadline — the seed
 	// behavior, where a dropped response frame hangs the client forever.
 	// It only takes effect when the underlying stream supports
-	// deadlines (net.Conn does; in-process test pipes may not).
+	// deadlines (net.Conn does; in-process test pipes may not). At
+	// depth 1 an expired deadline breaks the connection (ErrConnBroken),
+	// since the late reply would otherwise answer the next call.
 	CallTimeout time.Duration
 	// Pipeline is the maximum number of request frames the client keeps
 	// in flight on the connection. Zero or one keeps the seed protocol's
@@ -185,6 +187,9 @@ type Client struct {
 	rngMu       sync.Mutex
 	rng         *rand.Rand // jitter source, seeded by site for determinism
 	closed      atomic.Bool
+	// broken is the sticky error of a depth-1 connection that a
+	// transport error left at an unknown frame boundary.
+	broken error
 }
 
 // jitterDelay draws the next backoff delay; the lock makes the shared
@@ -314,22 +319,31 @@ func (c *Client) callWire(req wire.Message) (wire.Message, error) {
 		// already fails calls with ErrClientClosed.
 		return c.pipe.call(req)
 	}
+	if c.broken != nil {
+		return nil, c.broken
+	}
 	if c.callTimeout > 0 {
 		if c.conn.SetDeadline(time.Now().Add(c.callTimeout)) {
 			defer c.conn.SetDeadline(time.Time{})
 		}
 	}
 	resp, err := c.conn.Call(req)
-	if err != nil && c.closed.Load() {
+	var we *wire.Error
+	if err == nil || errors.As(err, &we) {
+		return resp, err
+	}
+	if c.closed.Load() {
 		// A concurrent Close tore the connection under this call; the
 		// raw read/write error (io.EOF, "use of closed network
 		// connection") is an artifact of the teardown, not the fault.
-		var we *wire.Error
-		if !errors.As(err, &we) {
-			return nil, ErrClientClosed
-		}
+		return nil, ErrClientClosed
 	}
-	return resp, err
+	// A transport error (a deadline among them) leaves the stream at an
+	// unknown frame boundary: the late reply to this request would be
+	// read as the next request's. Close the connection so none can be.
+	c.broken = fmt.Errorf("%w: %w", ErrConnBroken, err)
+	c.conn.Close()
+	return nil, c.broken
 }
 
 // call sends a request and converts abort responses to AbortError.

@@ -2,8 +2,10 @@ package client
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"net"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -158,6 +160,114 @@ func TestCallTimeoutUnblocksDroppedResponse(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Errorf("deadline took %v to fire", elapsed)
+	}
+}
+
+// lateReplyServer serves one TCP client: Sync, Begin and Read, tagged
+// or not. Its reply to Read(1) waits for release, so the client's call
+// times out first; sent is closed once that late reply has been written
+// (or failed to write), before the server reads the next request.
+func lateReplyServer(t *testing.T, ln net.Listener, release <-chan struct{}, sent chan struct{}) {
+	nc, err := ln.Accept()
+	if err != nil {
+		return
+	}
+	sc := wire.NewConn(nc)
+	defer sc.Close()
+	for {
+		req, err := sc.ReadMessage()
+		if err != nil {
+			return
+		}
+		var tag uint32
+		tg, tagged := req.(*wire.Tagged)
+		if tagged {
+			tag, req = tg.Tag, tg.Inner
+		}
+		var resp wire.Message
+		switch m := req.(type) {
+		case *wire.Sync:
+			resp = &wire.SyncOK{ServerTicks: m.ClientTicks}
+		case *wire.Begin:
+			resp = &wire.BeginOK{Txn: 7}
+		case *wire.Read:
+			resp = &wire.Value{Value: 1001 * int64(m.Object)}
+			if m.Object == 1 {
+				<-release
+			}
+		default:
+			t.Errorf("unexpected request %v", req.MsgType())
+			return
+		}
+		if tagged {
+			resp = &wire.TaggedReply{Tag: tag, Inner: resp}
+		}
+		err = sc.WriteMessage(resp)
+		if r, ok := req.(*wire.Read); ok && r.Object == 1 {
+			close(sent)
+		}
+		if err != nil {
+			return
+		}
+	}
+}
+
+// TestTimedOutCallsLateReplyNeverReachesNextCall: a call that times out
+// must not leave its reply on the stream for the next call to read. At
+// depth 0 the synchronous path closes the connection, and every later
+// call fails with ErrConnBroken; at depth 4 the tag of the timed-out
+// call discards the late reply and the connection keeps serving.
+func TestTimedOutCallsLateReplyNeverReachesNextCall(t *testing.T) {
+	for _, depth := range []int{0, 4} {
+		t.Run(fmt.Sprintf("pipeline=%d", depth), func(t *testing.T) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			release, sent := make(chan struct{}), make(chan struct{})
+			var releaseOnce sync.Once
+			releaseReply := func() { releaseOnce.Do(func() { close(release) }) }
+			served := make(chan struct{})
+			go func() {
+				defer close(served)
+				lateReplyServer(t, ln, release, sent)
+			}()
+			t.Cleanup(func() {
+				releaseReply()
+				ln.Close()
+				<-served
+			})
+			c, err := Dial(ln.Addr().String(), Options{Site: 1, CallTimeout: 100 * time.Millisecond, Pipeline: depth})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { c.Close() })
+			txn, err := c.Begin(core.Query, core.SRSpec())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := txn.Read(1); err == nil {
+				t.Fatal("Read(1) succeeded although its reply is held back")
+			} else if depth == 0 && !errors.Is(err, ErrConnBroken) {
+				t.Fatalf("Read(1) error = %v, want ErrConnBroken", err)
+			}
+			releaseReply()
+			<-sent
+			v, err := txn.Read(2)
+			if err == nil && v != 2002 {
+				t.Fatalf("Read(2) = %d, nil: the timed-out Read(1)'s late reply", v)
+			}
+			if depth > 0 {
+				if err != nil {
+					t.Fatalf("Read(2) at depth %d: %v; want 2002", depth, err)
+				}
+				return
+			}
+			var ne net.Error
+			if !errors.Is(err, ErrConnBroken) || !errors.As(err, &ne) || !ne.Timeout() {
+				t.Fatalf("Read(2) error = %v, want ErrConnBroken wrapping the net timeout", err)
+			}
+		})
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package core defines the epsilon-serializability (ESR) model of the
 // system: epsilon transactions and their kinds, inconsistency limits,
-// the hierarchical inconsistency-bounds tree with its bottom-up control
-// discipline, and the aggregate-query inconsistency tracking of §5.3.2.
+// and the hierarchical inconsistency-bounds tree with its bottom-up
+// control discipline.
 //
 // The package is the paper's primary contribution in code form. The
 // concurrency-control engine (internal/tso) consults this package to

@@ -59,8 +59,7 @@ func (p *Program) WriteDelta(obj ObjectID, delta Value) *Program {
 // Validate checks the static well-formedness rules the server enforces at
 // BEGIN time: queries must not write, and the prototype's simplifying
 // assumption (§3.2.1) that an object is read or written at most once per
-// transaction must hold. The multi-read extension (AggregateTracker)
-// lifts the latter restriction for clients that opt into it.
+// transaction must hold.
 func (p *Program) Validate() error {
 	if p.Kind != Query && p.Kind != Update {
 		return fmt.Errorf("txn: invalid kind %d", p.Kind)

@@ -462,7 +462,7 @@ func (l *Log) poison(err error) {
 }
 
 // run is the committer goroutine: the only place segment writes, fsyncs,
-// rolls and snapshots happen (the locksafe analyzer enforces this).
+// rolls and snapshots happen (the lockorder analyzer enforces this).
 func (l *Log) run() {
 	defer close(l.done)
 	for {
